@@ -11,15 +11,19 @@ per §4.2 — selection does not change the time attached to the result.
 from __future__ import annotations
 
 from itertools import product
-from typing import Dict, List, Set
+from typing import Dict, List, Optional, Set
 
 from repro.algebra.predicates import Predicate, SelectionContext
 from repro.core.errors import SchemaError
 from repro.core.mo import MultidimensionalObject
 from repro.core.schema import FactSchema
 from repro.core.values import DimensionValue, Fact
+from repro.obs import metrics
 
 __all__ = ["select", "select_schema"]
+
+_PATH_SET = metrics.counter("selection.path.set")
+_PATH_PER_FACT = metrics.counter("selection.path.per_fact")
 
 
 def select_schema(schema: FactSchema, predicate: Predicate) -> FactSchema:
@@ -48,16 +52,57 @@ def _candidate_values(mo: MultidimensionalObject, fact: Fact,
     return out
 
 
-def select(mo: MultidimensionalObject,
-           predicate: Predicate) -> MultidimensionalObject:
-    """Apply ``σ[predicate]`` to ``mo``.
+def _dice_values(
+        predicate: Predicate) -> Optional[Dict[str, List[DimensionValue]]]:
+    """The dice values per constrained dimension of a predicate built
+    only from ``characterized_by`` and ``conjunction`` (nested
+    conjunctions flatten), or ``None`` for any other predicate."""
+    if predicate.kind == "characterized_by":
+        name, value = predicate.payload
+        return {name: [value]}
+    if predicate.kind != "conjunction":
+        return None
+    dices: Dict[str, List[DimensionValue]] = {}
+    for operand in predicate.payload:
+        inner = _dice_values(operand)
+        if inner is None:
+            return None
+        for name, values in inner.items():
+            dices.setdefault(name, []).extend(values)
+    return dices
 
-    The existential quantification over value tuples is evaluated per
-    fact over the fact's *characterizing* values in each dimension the
-    predicate constrains; unconstrained dimensions are witnessed by ⊤
-    (every fact is characterized by ⊤, so they never exclude a fact).
-    """
-    select_schema(mo.schema, predicate)
+
+def _diced_facts(mo: MultidimensionalObject,
+                 dices: Dict[str, List[DimensionValue]]) -> Set[Fact]:
+    """The set-at-a-time σ of a dice.  A characterizing value ``c``
+    witnesses a dimension's dice values iff ``c ≤ v`` for each; then
+    the base value below ``c`` is a witness too, so the fact qualifies
+    iff a base value lies in every dice value's reflexive down-set.  A
+    ⊤ dice value only needs the fact to have some value there."""
+    surviving = mo.facts
+    for name, values in dices.items():
+        dimension = mo.dimension(name)
+        relation = mo.relation(name)
+        witnesses: Optional[Set[DimensionValue]] = None
+        for value in values:
+            if value == dimension.top_value:
+                continue
+            down = dimension.descendants(value, reflexive=True)
+            witnesses = down if witnesses is None else witnesses & down
+        if witnesses is None:
+            surviving &= relation.facts()
+            continue
+        kept: Set[Fact] = set()
+        for witness in witnesses:
+            kept |= relation.facts_of(witness)
+        surviving &= kept
+    return surviving
+
+
+def _per_fact_survivors(mo: MultidimensionalObject,
+                        predicate: Predicate) -> Set[Fact]:
+    """Keep each fact at its first characterizing tuple satisfying the
+    predicate."""
     surviving: Set[Fact] = set()
     for fact in mo.facts:
         ctx = SelectionContext(mo=mo, fact=fact)
@@ -74,6 +119,28 @@ def select(mo: MultidimensionalObject,
             if predicate(values, ctx):
                 surviving.add(fact)
                 break
+    return surviving
+
+
+def select(mo: MultidimensionalObject,
+           predicate: Predicate) -> MultidimensionalObject:
+    """Apply ``σ[predicate]`` to ``mo``.
+
+    The existential quantification over value tuples is evaluated per
+    fact over the fact's *characterizing* values in each dimension the
+    predicate constrains; unconstrained dimensions are witnessed by ⊤
+    (every fact is characterized by ⊤, so they never exclude a fact).
+    Dices (``characterized_by`` / ``conjunction`` predicates) evaluate
+    the same quantifier set-at-a-time over the dimensions' down-sets.
+    """
+    select_schema(mo.schema, predicate)
+    dices = _dice_values(predicate)
+    if dices is None:
+        _PATH_PER_FACT.inc()
+        surviving = _per_fact_survivors(mo, predicate)
+    else:
+        _PATH_SET.inc()
+        surviving = _diced_facts(mo, dices)
     relations = {
         name: mo.relation(name).restricted_to_facts(surviving)
         for name in mo.dimension_names

@@ -15,8 +15,9 @@ guarantee
 
 is earned, not assumed: :func:`static_summarizability` only answers
 ``SAFE`` after confirming the declarations against the rollup index's
-cached extensional facts (the same cached pieces the engine's fast path
-uses), and answers ``UNKNOWN`` — never a guess — when it cannot.
+cached extensional facts (the same cached pieces the engine's own
+verdicts come from), and answers ``UNKNOWN`` — never a guess — when it
+cannot.
 """
 
 from __future__ import annotations
@@ -174,15 +175,15 @@ def _analyze_dimension(report: AnalysisReport, mo: MultidimensionalObject,
         report.emit("MD022",
                     "declared non-strict, but the extension is strict",
                     location,
-                    hint="declare declared_strict=True to enable the "
-                         "engine's static fast path")
+                    hint="declare declared_strict=True so the analyzer "
+                         "can prove groupings SAFE")
     if dtype.declared_partitioning is False and partitioning:
         report.emit("MD022",
                     "declared non-partitioning, but the extension is "
                     "partitioning",
                     location,
-                    hint="declare declared_partitioning=True to enable "
-                         "the engine's static fast path")
+                    hint="declare declared_partitioning=True so the "
+                         "analyzer can prove groupings SAFE")
     if dtype.declared_strict is None and dtype.declared_partitioning is None:
         report.emit("MD025",
                     "hierarchy properties undeclared",

@@ -277,9 +277,7 @@ class SqlExecutionBackend(ExecutionBackend):
 
     def plan_for(self, query: "Query", function: AggregationFunction,
                  strict_types: bool):
-        # the single-conjunction σ shape _diced_mo() evaluates — see
-        # Query._sql_plan for why this differs from to_plan()
-        return query._sql_plan(function, strict_types)
+        return query.to_plan(function, strict_types)
 
     def _compile(self, query: "Query", plan):
         """``(backend, compiled, seconds)`` or the refusal diagnostic."""

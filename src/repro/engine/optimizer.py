@@ -19,21 +19,19 @@ what makes the static plan typechecker in :mod:`repro.analyze.plan`
 total over the algebra), plus an :func:`optimize` pass applying the
 classical, *provably equivalence-preserving* rewrites in this algebra:
 
-1. **select fusion**: σ[p](σ[q](X)) → σ[p ∧ q](X), applied only when
-   p and q constrain the *same* dimensions: the evaluator witnesses a
-   predicate over the product of its dimensions' candidate values, so
-   fusing predicates over different dimensions would multiply the
-   candidate sets (measured as a slowdown in
-   ``benchmarks/bench_optimizer.py``), while same-dimension fusion
-   replaces two passes — each of which also restricts every
-   fact-dimension relation — with one;
-2. **project fusion**: π[A](π[B](X)) → π[A](X) (projection keeps facts,
+1. **project fusion**: π[A](π[B](X)) → π[A](X) (projection keeps facts,
    so only the outermost dimension list matters);
-3. **select-past-project**: π[A](σ[p](X)) ↔ σ[p](π[A](X)); the
+2. **select-past-project**: π[A](σ[p](X)) ↔ σ[p](π[A](X)); the
    optimizer normalizes to *select first* when p's dimensions are kept
    by A — σ shrinks the fact set, so later π copies less — and must
    keep σ inside when p touches projected-away dimensions (in this
    algebra that order is *required* for meaning, not just speed).
+
+σ chains are never fused: σ[p ∧ q] lets one characterizing value
+witness both p and q in each dimension, while σ[p](σ[q](X)) picks a
+witness per node, so a fact reaching two dice values of one dimension
+through different base values survives the chain but not the
+conjunction.
 
 Equivalence of optimized and naive plans is property-tested in
 ``tests/engine/test_optimizer.py``.
@@ -47,7 +45,6 @@ from typing import Optional, Tuple, Union
 
 from repro.algebra import (
     aggregate,
-    conjunction,
     difference,
     identity_join,
     project,
@@ -179,10 +176,9 @@ def evaluate(plan: Plan) -> MultidimensionalObject:
 def optimize(plan: Plan) -> Plan:
     """Apply the rewrites until a fixpoint.
 
-    The result is semantically equivalent to the input: select fusion
-    and project fusion are identities of the algebra, and
-    select-past-project is applied only when the predicate's dimensions
-    survive the projection.
+    The result is semantically equivalent to the input: project fusion
+    is an identity of the algebra, and select-past-project is applied
+    only when the predicate's dimensions survive the projection.
     """
     current = plan
     while True:
@@ -198,13 +194,6 @@ def _rewrite(plan: Plan) -> Plan:
         return plan
     if isinstance(plan, SelectNode):
         child = _rewrite(plan.child)
-        # select fusion — only for same-dimension predicates (fusing
-        # across dimensions multiplies the candidate sets the evaluator
-        # must witness)
-        if isinstance(child, SelectNode) and \
-                set(child.predicate.dims) == set(plan.predicate.dims):
-            fused = conjunction(child.predicate, plan.predicate)
-            return SelectNode(child=child.child, predicate=fused)
         # push select below project when its dimensions survive
         if isinstance(child, ProjectNode) and \
                 set(plan.predicate.dims) <= set(child.dimensions):

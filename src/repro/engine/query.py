@@ -60,6 +60,31 @@ def _row_sort_key(names):
     return key
 
 
+def _alpha_rows(aggregated: MultidimensionalObject,
+                names: List[str]) -> List[QueryResultRow]:
+    """The rows of α's result MO (result dimension ``__query_result``),
+    grouped by the dimensions ``names``, sorted like every answer path.
+    α merges value combinations that select the same facts into one
+    set-fact related to several values; the tabular view re-expands
+    them, one row per combination."""
+    rows: List[QueryResultRow] = []
+    for fact in aggregated.facts:
+        raw = next(
+            iter(aggregated.relation("__query_result").values_of(fact))
+        ).sid
+        combos: List[Dict[str, DimensionValue]] = [{}]
+        for name in names:
+            values = sorted(
+                aggregated.relation(name).values_of(fact), key=repr)
+            combos = [
+                {**combo, name: value}
+                for combo in combos for value in values
+            ]
+        rows.extend((group, raw) for group in combos)
+    rows.sort(key=_row_sort_key(names))
+    return rows
+
+
 _PATH_STORE = metrics.counter("query.path.store")
 _PATH_INDEX = metrics.counter("query.path.index")
 _PATH_ALPHA = metrics.counter("query.path.alpha")
@@ -160,48 +185,34 @@ class Query:
         q._grouping[dimension_name] = category_name
         return q
 
+    def _dice_predicate(self):
+        """All dices as one σ predicate, their conjunction: dices on one
+        dimension must be satisfied by one shared witness value."""
+        return conjunction(*[characterized_by(d, v)
+                             for d, v in self._dices])
+
     def _diced_mo(self) -> MultidimensionalObject:
         if not self._dices:
             return self._mo
-        predicates = [characterized_by(d, v) for d, v in self._dices]
-        return select(self._mo, conjunction(*predicates))
+        return select(self._mo, self._dice_predicate())
 
     def to_plan(self, function: Optional[AggregationFunction] = None,
                 strict_types: bool = False):
         """The query compiled to an algebra plan
-        (:mod:`repro.engine.optimizer` nodes): the dices as σ nodes
-        over :class:`Base`, topped by the α node — the tree the static
-        analyzer checks and :func:`~repro.engine.optimizer.evaluate`
-        could run."""
-        from repro.engine.optimizer import AggregateNode, Base, SelectNode
-        plan = Base(self._mo)
-        for name, value in self._dices:
-            plan = SelectNode(child=plan,
-                              predicate=characterized_by(name, value))
-        return AggregateNode(
-            child=plan,
-            function=function or SetCount(),
-            grouping=tuple(sorted(self._grouping.items())),
-            result=make_result_spec(name="__query_result"),
-            strict_types=strict_types,
-        )
-
-    def _sql_plan(self, function: AggregationFunction,
-                  strict_types: bool):
-        """The plan the SQL backend compiles.  Unlike :meth:`to_plan`'s
-        one-σ-per-dice chain, all dices form a *single* σ carrying their
-        conjunction — the same shape :meth:`_diced_mo` evaluates, where
-        several dices on one dimension must be satisfied by one shared
-        witness value.  (Chained σs re-quantify the witness per node.)"""
+        (:mod:`repro.engine.optimizer` nodes): one σ over :class:`Base`
+        carrying the conjunction of the dices (none without dices),
+        topped by the α node.  It is the one plan every surface uses —
+        the static analyzer, the fingerprint, every backend — and
+        :func:`~repro.engine.optimizer.evaluate` of it equals
+        :meth:`execute`.  (A chain of one σ per dice would differ: each
+        σ picks its own witness.)"""
         from repro.engine.optimizer import AggregateNode, Base, SelectNode
         plan = Base(self._mo)
         if self._dices:
-            predicates = [characterized_by(d, v) for d, v in self._dices]
-            plan = SelectNode(child=plan,
-                              predicate=conjunction(*predicates))
+            plan = SelectNode(child=plan, predicate=self._dice_predicate())
         return AggregateNode(
             child=plan,
-            function=function,
+            function=function or SetCount(),
             grouping=tuple(sorted(self._grouping.items())),
             result=make_result_spec(name="__query_result"),
             strict_types=strict_types,
@@ -295,15 +306,14 @@ class Query:
     def _fingerprint(self, function: AggregationFunction,
                      strict_types: bool
                      ) -> Tuple[Optional[PlanFingerprint], str]:
-        """The memoized canonical fingerprint of this query's plan (the
-        single-conjunction σ shape :meth:`_diced_mo` actually
-        evaluates), or ``(None, reason)`` when unfingerprintable."""
+        """The memoized canonical fingerprint of :meth:`to_plan`, or
+        ``(None, reason)`` when unfingerprintable."""
         key = (function.name, strict_types)
         found = self._fingerprints.get(key)
         if found is None:
             try:
-                found = (fingerprint(self._sql_plan(function,
-                                                    strict_types)), "")
+                found = (fingerprint(self.to_plan(function, strict_types)),
+                         "")
             except Unfingerprintable as exc:
                 found = (None, f"{exc.reason} ({exc.location})")
             self._fingerprints[key] = found
@@ -433,27 +443,8 @@ class Query:
         result = make_result_spec(name="__query_result")
         aggregated = aggregate(mo, function, self._grouping, result,
                                strict_types=strict_types)
-        rows: List[QueryResultRow] = []
-        names = sorted(self._grouping)
-        for fact in aggregated.facts:
-            raw = next(
-                iter(aggregated.relation("__query_result").values_of(fact))
-            ).sid
-            # α merges value combinations that select the same facts
-            # into one set-fact related to several values; the tabular
-            # view re-expands them, one row per combination
-            combos: List[Dict[str, DimensionValue]] = [{}]
-            for name in names:
-                values = sorted(
-                    aggregated.relation(name).values_of(fact), key=repr)
-                combos = [
-                    {**combo, name: value}
-                    for combo in combos for value in values
-                ]
-            for group in combos:
-                rows.append((group, raw))
-        rows.sort(key=_row_sort_key(names))
-        return rows, len(aggregated.facts)
+        return (_alpha_rows(aggregated, sorted(self._grouping)),
+                len(aggregated.facts))
 
     def _try_index(
         self, function: AggregationFunction, strict_types: bool

@@ -74,7 +74,6 @@ _COVERAGE_HIT = metrics.counter("rollup_index.coverage.hit")
 _COVERAGE_MISS = metrics.counter("rollup_index.coverage.miss")
 _STRICT_HIT = metrics.counter("rollup_index.strictness.hit")
 _STRICT_MISS = metrics.counter("rollup_index.strictness.miss")
-_SUMM_STATIC = metrics.counter("rollup_index.summarizability.static_fast_path")
 
 _EMPTY_IDS: FrozenSet[int] = frozenset()
 
@@ -377,12 +376,13 @@ class RollupIndex:
                         at: Optional[Chronon] = None) -> SummarizabilityCheck:
         """The (cached) Lenz-Shoshani verdict for a grouping.
 
-        The check scans the grouped dimensions' hierarchies and base
-        mappings, so it dominates repeated aggregate formations; the
-        verdict depends only on the grouped dimensions' state, so the
-        cache key is the grouping plus those dimensions' order/relation
-        version pairs — a mutation anywhere relevant misses the cache
-        and re-checks.
+        Untimed verdicts come from cached per-dimension pieces
+        (:meth:`_fact_paths_strict`, :meth:`_partitioning_up_to`);
+        :func:`~repro.core.properties.check_summarizability` stays the
+        oracle and answers timed (``at``) verdicts.  The cache key is
+        the grouping plus the grouped dimensions' order/relation
+        versions and the fact-set version, so a relevant mutation
+        misses the cache and re-checks.
         """
         names = tuple(sorted(grouping))
         key = (
@@ -391,87 +391,90 @@ class RollupIndex:
             at,
             tuple((self._mo.dimension(name).order.version,
                    self._mo.relation(name).version) for name in names),
+            self._mo.facts_version,
         )
         verdict = self._verdicts.get(key)
-        if verdict is None:
-            _SUMM_MISS.inc()
-            if at is None and distributive and self._static_safe(grouping):
-                # the declared verdict, verified from per-dimension
-                # caches, provably matches the full check's outcome
-                _SUMM_STATIC.inc()
-                verdict = SummarizabilityCheck(
-                    function_distributive=True, paths_strict=True,
-                    hierarchies_partitioning=True)
-            else:
-                with trace.span("rollup_index.summarizability",
-                                grouping=names):
-                    verdict = check_summarizability(self._mo, dict(grouping),
-                                                    distributive, at=at)
-            self._verdicts[key] = verdict
-        else:
+        if verdict is not None:
             _SUMM_HIT.inc()
+            return verdict
+        _SUMM_MISS.inc()
+        with trace.span("rollup_index.summarizability", grouping=names):
+            if at is None:
+                verdict = SummarizabilityCheck(
+                    function_distributive=distributive,
+                    paths_strict=all(self._fact_paths_strict(name, cat)
+                                     for name, cat in grouping.items()),
+                    hierarchies_partitioning=all(
+                        self._partitioning_up_to(name, cat)
+                        for name, cat in grouping.items()),
+                )
+            else:
+                verdict = check_summarizability(self._mo, dict(grouping),
+                                                distributive, at=at)
+        self._verdicts[key] = verdict
         return verdict
-
-    def _static_safe(self, grouping: Dict[str, str]) -> bool:
-        """The static (schema-declared) fast path behind
-        :meth:`summarizability` — True only when the full extensional
-        check is *guaranteed* to return the all-clear verdict, so the
-        subdimension construction it performs per grouping can be
-        skipped.  Per grouped dimension this requires:
-
-        * the dimension type *declares* strict + partitioning (the
-          analyzer's intensional verdict — the gate; undeclared or
-          declared-unsafe dimensions always take the full check);
-        * the declared partitioning holds extensionally
-          (:meth:`hierarchy_partitioning`, cached per order version —
-          a drifted declaration falls back rather than being trusted);
-        * every category below the grouping category has all its
-          immediate predecessors below it too — then the subdimension
-          the full check builds preserves Pred sets, so full-hierarchy
-          partitioning implies the subhierarchy's;
-        * the fact paths up to the grouping category are strict
-          (cached one-pass scan of the per-fact grouping map).
-
-        All four pieces are per-dimension (or per dimension+category)
-        and version-cached, shared across groupings — unlike the full
-        check, which rebuilds a subdimension for every new grouping key.
-        """
-        for name, cat in grouping.items():
-            dimension = self._mo.dimension(name)
-            dtype = dimension.dtype
-            if not (dtype.declared_strict and dtype.declared_partitioning):
-                return False
-            if not self.hierarchy_partitioning(name):
-                return False
-            below = [c.name for c in dimension.categories()
-                     if dtype.leq(c.name, cat)]
-            for c_name in below:
-                if c_name == cat:
-                    continue
-                if any(not dtype.leq(p, cat) for p in dtype.pred(c_name)):
-                    return False
-            if not self._fact_paths_strict(name, cat):
-                return False
-        return True
 
     def _fact_paths_strict(self, dimension_name: str,
                            category_name: str) -> bool:
-        """Definition 2's strict-path condition (no fact characterized
-        by two values of the category), answered from the cached
-        per-fact grouping map and memoized per version pair."""
+        """Definition 2's strict-path condition (no fact of ``F``
+        characterized by two values of the category), answered from the
+        cached per-fact grouping-id map and memoized per version
+        triple."""
         dimension = self._mo.dimension(dimension_name)
         if category_name == dimension.dtype.top_name:
             return True
         key = (dimension_name, "*paths*", category_name,
                dimension.order.version,
-               self._mo.relation(dimension_name).version)
+               self._mo.relation(dimension_name).version,
+               self._mo.facts_version)
         cached = self._strictness.get(key)
         if cached is None:
-            per_fact = self.grouping_values_per_fact(dimension_name,
-                                                     category_name)
-            cached = all(len(values) <= 1 for values in per_fact.values())
+            id_map = self.grouping_value_ids_per_fact(dimension_name,
+                                                      category_name)
+            multi = [fid for fid, vids in id_map.items() if len(vids) > 1]
+            # a relation may mention facts outside F; only F's count
+            cached = not multi or self.mo_fact_ids().isdisjoint(multi)
             self._strictness[key] = cached
         return cached
+
+    def _partitioning_up_to(self, dimension_name: str,
+                            category_name: str) -> bool:
+        """Definition 3 on the categories ≤ ``category_name`` plus ⊤ —
+        the subhierarchy ``check_summarizability`` tests — without
+        building its subdimension: Pred sets come from the restricted
+        type order, and as the kept categories form a down-set, the
+        subdimension's order is the dimension's, so a value is covered
+        iff its cached ancestors meet a Pred category.  Cached per
+        order version."""
+        dimension = self._mo.dimension(dimension_name)
+        key = (dimension_name, "*partitioning*", category_name,
+               dimension.order.version)
+        cached = self._strictness.get(key)
+        if cached is not None:
+            _STRICT_HIT.inc()
+            return cached
+        _STRICT_MISS.inc()
+        dtype = dimension.dtype
+        keep = {c.name for c in dimension.categories()
+                if dtype.leq(c.name, category_name)}
+        keep.add(dtype.top_name)
+        preds: Dict[str, Set[str]] = {}
+        for lower, upper in dimension._restrict_type_order(keep):
+            preds.setdefault(lower, set()).add(upper)
+        order = dimension.order
+        result = True
+        for name, pred_names in preds.items():
+            if dtype.top_name in pred_names:
+                continue  # every value is below ⊤
+            pred_members: Set[DimensionValue] = set()
+            for pred_name in pred_names:
+                pred_members |= dimension.category(pred_name).members()
+            if any(pred_members.isdisjoint(order.ancestors(value))
+                   for value in dimension.category(name).members()):
+                result = False
+                break
+        self._strictness[key] = result
+        return result
 
     # -- hierarchy properties ----------------------------------------------
 
@@ -527,39 +530,12 @@ class RollupIndex:
         return result
 
     def hierarchy_partitioning(self, dimension_name: str) -> bool:
-        """Definition 3 for the whole dimension, from cached ancestor
-        sets (a value is covered iff its ancestors meet some
-        immediate-predecessor category, or ⊤ is a predecessor).  Cached
-        keyed by the dimension's order version."""
-        dimension = self._mo.dimension(dimension_name)
-        key = (dimension_name, "*partitioning*", dimension.order.version)
-        cached = self._strictness.get(key)
-        if cached is not None:
-            _STRICT_HIT.inc()
-            return cached
-        _STRICT_MISS.inc()
-        dtype = dimension.dtype
-        result = True
-        for category in dimension.categories():
-            if category.ctype.is_top:
-                continue
-            pred_names = dtype.pred(category.name)
-            if dtype.top_name in pred_names:
-                continue  # every value is below ⊤
-            pred_members: Set[DimensionValue] = set()
-            for pred_name in pred_names:
-                pred_members |= dimension.category(pred_name).members()
-            for value in category.members():
-                parents = dimension.ancestors(value, reflexive=False)
-                parents &= pred_members
-                parents.discard(value)
-                if not parents:
-                    result = False
-                    break
-            if not result:
-                break
-        self._strictness[key] = result
-        return result
+        """Definition 3 for the whole dimension: the ⊤ case of
+        :meth:`_partitioning_up_to`, whose Pred sets are the type
+        order's covering edges (what ``DimensionType.pred`` returns for
+        a type declared by its covering edges)."""
+        return self._partitioning_up_to(
+            dimension_name, self._mo.dimension(dimension_name).dtype.top_name)
 
     # -- interned orderings ------------------------------------------------
 

@@ -528,8 +528,8 @@ class ShardedBackend(ExecutionBackend):
 
     def plan_for(self, query: "Query", function: AggregationFunction,
                  strict_types: bool):
-        # the chained-σ shape Query.check() analyzes, so a refusal here
-        # quotes exactly the diagnostic the user already saw from check()
+        # the plan Query.check() analyzes, so a refusal here quotes
+        # exactly the diagnostic the user already saw from check()
         return query.to_plan(function, strict_types)
 
     def supports(self, query: "Query", plan) -> Optional["Diagnostic"]:

@@ -69,7 +69,7 @@ def _linear(name: str, levels: List[str]) -> Dimension:
     edges = [(levels[i], levels[i + 1]) for i in range(len(levels) - 1)]
     # generation links every child to exactly one parent, so the chain
     # hierarchies are strict and partitioning — declared for the
-    # analyzer and the engine's static fast path
+    # analyzer
     return Dimension(DimensionType(
         name, ctypes, edges,
         declared_strict=True, declared_partitioning=True))

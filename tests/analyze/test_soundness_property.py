@@ -3,8 +3,7 @@
 The contract under test (docs/ANALYSIS.md): a ``SAFE`` verdict from
 :func:`repro.analyze.static_summarizability` guarantees the extensional
 Lenz–Shoshani check passes — for any MO, any declarations (truthful,
-missing, or lies), any grouping.  And the engine's static fast path
-(declaration-vouched verdicts inside ``RollupIndex.summarizability``)
+missing, or lies), any grouping.  And ``RollupIndex.summarizability``
 must be verdict-equivalent to the full extensional check."""
 
 import hypothesis.strategies as st
@@ -99,9 +98,9 @@ def test_accepted_plans_execute(data):
 @given(data=st.data())
 @settings(max_examples=60, deadline=None)
 def test_fast_path_verdict_equals_full_check(data):
-    """The rollup index's declaration-gated fast path must return the
-    same verdict the naive extensional check computes — field by
-    field, for truthful and lying declarations alike."""
+    """The rollup index must return the same verdict the naive
+    extensional check computes — field by field, for truthful and
+    lying declarations alike."""
     mo = data.draw(declared_mos())
     grouping = data.draw(groupings(mo))
     indexed = mo.rollup_index().summarizability(grouping,

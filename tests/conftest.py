@@ -59,6 +59,20 @@ def strict_clinical():
 
 
 @pytest.fixture(scope="session")
+def two_group_clinical():
+    """200 patients on the benchmark's ICD shape, some of whom reach
+    ``icd.groups[2]`` and ``icd.groups[4]`` only through different
+    diagnoses: a σ per dice keeps them, one σ over the conjunction of
+    the dices does not."""
+    return generate_clinical(ClinicalConfig(
+        n_patients=200,
+        icd=IcdShape(n_groups=5, families_per_group=(3, 6),
+                     lowlevels_per_family=(3, 6), extra_parent_prob=0.1),
+        seed=1,
+    ))
+
+
+@pytest.fixture(scope="session")
 def small_retail():
     """A small seeded retail workload."""
     return generate_retail(RetailConfig(n_purchases=120, seed=5))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.algebra import characterized_by, sid_satisfies
+from repro.algebra import characterized_by, conjunction, sid_satisfies
 from repro.algebra.predicates import Predicate
 from repro.casestudy import diagnosis_value
 from repro.engine import (
@@ -24,19 +24,26 @@ def _facts(mo):
 
 
 class TestRewrites:
-    def test_select_fusion_same_dimension(self, snapshot_mo):
-        p1 = characterized_by("Diagnosis", diagnosis_value(11))
-        p2 = characterized_by("Diagnosis", diagnosis_value(12))
-        plan = SelectNode(SelectNode(Base(snapshot_mo), p1), p2)
+    def test_select_chain_on_one_dimension_is_not_fused(
+            self, two_group_clinical):
+        """Each σ of a chain picks its own witness value, while a
+        conjunction shares one per dimension, so fusing this chain into
+        σ[p1 ∧ p2] would drop patients."""
+        mo = two_group_clinical.mo
+        groups = two_group_clinical.icd.groups
+        p1 = characterized_by("Diagnosis", groups[2])
+        p2 = characterized_by("Diagnosis", groups[4])
+        plan = SelectNode(SelectNode(Base(mo), p1), p2)
+        chained = _facts(evaluate(plan))
+        fused = _facts(evaluate(SelectNode(Base(mo), conjunction(p1, p2))))
+        assert fused < chained
         optimized = optimize(plan)
-        assert isinstance(optimized, SelectNode)
-        assert isinstance(optimized.child, Base)
-        assert _facts(evaluate(plan)) == _facts(evaluate(optimized)) == {2}
+        assert optimized == plan
+        assert _facts(evaluate(optimized)) == chained
 
     def test_selects_over_different_dimensions_stay_stacked(
             self, snapshot_mo):
-        """Fusing across dimensions would multiply candidate sets, so
-        the optimizer deliberately leaves these plans alone."""
+        """σ chains are never fused, over different dimensions too."""
         p1 = characterized_by("Diagnosis", diagnosis_value(11))
         p2 = sid_satisfies("Age", lambda a: a >= 40)
         plan = SelectNode(SelectNode(Base(snapshot_mo), p1), p2)

@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.algebra import SetCount, Sum
+from repro.algebra import SetCount, Sum, characterized_by, select
 from repro.core.errors import AggregationTypeError, StaticAnalysisError
 from repro.engine.optimizer import AggregateNode, Base, SelectNode, evaluate
-from repro.engine.query import Query
+from repro.engine.query import Query, _alpha_rows
 
 
 def _area(mo):
@@ -62,6 +62,23 @@ class TestCheck:
         result_mo = evaluate(query.to_plan())
         groups = result_mo.facts
         assert len(groups) == len(rows)
+
+    def test_to_plan_is_one_sigma_over_all_dices(self, two_group_clinical):
+        """One σ over the conjunction of both dices keeps only the
+        patients with one diagnosis below both groups, as execute()
+        does; a σ per dice would keep the others too."""
+        mo = two_group_clinical.mo
+        g1, g2 = (two_group_clinical.icd.groups[2],
+                  two_group_clinical.icd.groups[4])
+        query = Query(mo).dice("Diagnosis", g1).dice("Diagnosis", g2)
+        plan = query.to_plan()
+        assert isinstance(plan.child, SelectNode)
+        assert isinstance(plan.child.child, Base)
+        rows = query.execute(check=False, cache=False)
+        assert _alpha_rows(evaluate(plan), []) == rows
+        chained = select(select(mo, characterized_by("Diagnosis", g1)),
+                         characterized_by("Diagnosis", g2))
+        assert rows[0][1] < len(chained.facts)
 
 
 class TestExecuteChecked:
