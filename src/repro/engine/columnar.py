@@ -22,10 +22,13 @@ store would:
 
 Batch kernels (:meth:`AggregationFunction.batch_apply`) then evaluate
 *every* group in one pass over the key column, instead of one Python
-call per group.  Everything is version-stamped and rebuilt lazily, the
-same staleness protocol as the rollup index; ``use_index=False`` stays
-the byte-identity oracle (see docs/PERFORMANCE.md for the float-
-ordering caveat on SUM/AVG).
+call per group.  The layout itself is module-level (digits per
+dimension, key composition, decoding, keys to member lists), shared by
+:class:`ColumnarStore` and the sharded backend's workers, which compose
+the keys of one fact-id slice each.  Everything is version-stamped and
+rebuilt lazily, the same staleness protocol as the rollup index;
+``use_index=False`` stays the byte-identity oracle (see
+docs/PERFORMANCE.md for the float-ordering caveat on SUM/AVG).
 
 Fallback rules (any of these routes the caller to the object path):
 
@@ -43,7 +46,8 @@ Fallback rules (any of these routes the caller to the object path):
 from __future__ import annotations
 
 from array import array
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import (TYPE_CHECKING, Dict, Iterable, List, Mapping,
+                    NamedTuple, Optional, Sequence, Tuple, Union)
 
 from repro.algebra.functions import (AggregationFunction, has_batch_kernel,
                                      measures_of)
@@ -53,8 +57,12 @@ from repro.engine.rollup_index import (MULTI_VALUED, UNCHARACTERIZED,
                                        RollupIndex)
 from repro.obs import metrics, trace
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.engine.sharded import ShardMeasures
+
 __all__ = [
     "MAX_COMPOSED_KEY",
+    "KeyDigit",
     "MeasureColumn",
     "MeasureRows",
     "ColumnarGrouping",
@@ -75,6 +83,131 @@ _MEASURE_POISONED = metrics.counter("columnar.measure.poisoned")
 #: one grouping-key combo decoded back to objects: the grouped value per
 #: dimension, in the grouping's item order.
 Combo = Tuple[DimensionValue, ...]
+
+
+class KeyDigit(NamedTuple):
+    """One grouped dimension's digit of the mixed-radix group key.
+
+    ``column[fid - base]`` is a fact's single grouping-value id,
+    :data:`~repro.engine.rollup_index.UNCHARACTERIZED`, or
+    :data:`~repro.engine.rollup_index.MULTI_VALUED` with the id tuple in
+    ``multi[fid]``; ``code`` maps value ids to digits below ``radix``
+    and ``decode`` (``radix`` entries) maps digits back to values.  A
+    dimension grouped at ⊤ is the radix-1 digit with no column (every
+    fact has digit 0).  Shard payloads carry slices of the column and
+    no decode table."""
+
+    name: str
+    radix: int
+    column: Optional[array]
+    multi: Dict[int, Tuple[int, ...]]
+    code: Dict[int, int]
+    decode: Sequence[DimensionValue]
+
+
+def _key_layout(index: RollupIndex, items: Sequence[Tuple[str, str]]
+                ) -> Optional[List[KeyDigit]]:
+    """The digits of a grouping's composed keys, one per ``(dimension,
+    category)`` item in order, the first most significant: a
+    dimension's value ids get dense codes in id order.  ``None`` when
+    the radix product overflows :data:`MAX_COMPOSED_KEY`."""
+    digits: List[KeyDigit] = []
+    max_key = 1
+    for name, category in items:
+        dimension = index.mo.dimension(name)
+        if category == dimension.dtype.top_name:
+            digits.append(KeyDigit(name, 1, None, {}, {},
+                                   (dimension.top_value,)))
+            continue
+        column, multi = index.grouping_value_id_array(name, category)
+        vids = {vid for vid in column if vid >= 0}
+        for vid_tuple in multi.values():
+            vids.update(vid_tuple)
+        ordered = sorted(vids)
+        # no characterized fact makes a radix-0 digit: every fact drops
+        max_key *= len(ordered)
+        if max_key > MAX_COMPOSED_KEY:
+            return None
+        digits.append(KeyDigit(
+            name, len(ordered), column, multi,
+            {vid: code for code, vid in enumerate(ordered)},
+            [index.value_of(name, vid) for vid in ordered]))
+    return digits
+
+
+def _compose_keys(digits: Sequence[KeyDigit], fact_ids: Iterable[int],
+                  base: int = 0) -> Tuple[array, array]:
+    """The composed key column and its row-aligned fact-id column for
+    ``fact_ids`` (ascending): one pass composing each fact's key digit by
+    digit.  Imprecise facts product-expand into one row per value
+    combination; a fact uncharacterized in any dimension drops out.
+    ``base`` is the fact id at ``column[0]`` (a shard slice's first
+    fact, 0 for whole columns)."""
+    keys = array("q")
+    row_facts = array("q")
+    append_key = keys.append
+    append_fact = row_facts.append
+    # ⊤ digits have no column: their digit is always 0
+    columns = [(each.column, len(each.column), each.multi, each.code,
+                each.radix)
+               for each in digits if each.column is not None]
+    for fid in fact_ids:
+        idx = fid - base
+        composed = 0
+        expansions = None
+        for column, size, multi, code, radix in columns:
+            vid = column[idx] if idx < size else UNCHARACTERIZED
+            if vid >= 0:
+                digit = code[vid]
+                if expansions is None:
+                    composed = composed * radix + digit
+                else:
+                    expansions = [k * radix + digit for k in expansions]
+            elif vid == MULTI_VALUED:
+                codes = [code[v] for v in multi[fid]]
+                if expansions is None:
+                    expansions = [composed * radix + d for d in codes]
+                else:
+                    expansions = [k * radix + d
+                                  for k in expansions for d in codes]
+            else:  # UNCHARACTERIZED: the fact drops out entirely
+                expansions = ()
+                break
+        if expansions is None:
+            append_key(composed)
+            append_fact(fid)
+        else:
+            for key in expansions:
+                append_key(key)
+                append_fact(fid)
+    return keys, row_facts
+
+
+def _decode_key(decodes: Sequence[Sequence[DimensionValue]],
+                key: int) -> Combo:
+    """A composed key decoded to its value combo, given each digit's
+    decode table in digit order (a table's length is its radix)."""
+    values: List[DimensionValue] = []
+    for decode in reversed(decodes):
+        key, code = divmod(key, len(decode))
+        values.append(decode[code])
+    values.reverse()
+    return tuple(values)
+
+
+def _members_by_key(keys: Iterable[int], row_facts: Iterable[int]
+                    ) -> Dict[int, List[int]]:
+    """``composed key → fact ids of its rows``: the integer-level
+    groups."""
+    members: Dict[int, List[int]] = {}
+    get = members.get
+    for key, fid in zip(keys, row_facts):
+        bucket = get(key)
+        if bucket is None:
+            members[key] = [fid]
+        else:
+            bucket.append(fid)
+    return members
 
 
 class MeasureColumn:
@@ -102,11 +235,14 @@ class MeasureColumn:
 
 class MeasureRows:
     """A :class:`MeasureColumn` gathered row-aligned with one grouping's
-    key column — what :meth:`AggregationFunction.batch_apply` consumes."""
+    key column — what :meth:`AggregationFunction.batch_apply` consumes.
+    Shard workers gather their measure slice the same way, with row
+    fact ids rebased to the slice."""
 
     __slots__ = ("counts", "sums", "mins", "maxs")
 
-    def __init__(self, column: MeasureColumn, row_facts: array) -> None:
+    def __init__(self, column: Union[MeasureColumn, "ShardMeasures"],
+                 row_facts: Sequence[int]) -> None:
         self.counts = array("q", map(column.counts.__getitem__, row_facts))
         self.sums = array("d", map(column.sums.__getitem__, row_facts))
         self.mins = array("d", map(column.mins.__getitem__, row_facts))
@@ -124,14 +260,14 @@ class ColumnarGrouping:
     as read-only.
     """
 
-    __slots__ = ("_index", "_store", "items", "keys", "row_facts", "_specs",
-                 "_rows_by_key", "_groups", "_combos", "_measure_cache",
-                 "stamp")
+    __slots__ = ("_index", "_store", "items", "keys", "row_facts",
+                 "_decodes", "_rows_by_key", "_groups", "_combos",
+                 "_measure_cache", "stamp")
 
     def __init__(self, index: RollupIndex, store: "ColumnarStore",
                  items: Tuple[Tuple[str, str], ...],
                  keys: array, row_facts: array,
-                 specs: List[Tuple[str, int, List[DimensionValue]]],
+                 decodes: List[Sequence[DimensionValue]],
                  stamp: tuple) -> None:
         self._index = index
         self._store = store
@@ -141,8 +277,10 @@ class ColumnarGrouping:
         self.keys = keys
         #: interned fact id per row, aligned with :attr:`keys`
         self.row_facts = row_facts
-        #: per grouped dimension: (name, radix, code → value decode)
-        self._specs = specs
+        #: per grouped dimension, in :attr:`items` order: digit → value
+        #: (only the decode tables: the value-id columns would pin
+        #: superseded index arrays while a stale grouping stays cached)
+        self._decodes = decodes
         self._rows_by_key: Optional[Dict[int, List[int]]] = None
         self._groups: Optional[Dict[Combo, frozenset]] = None
         self._combos: Optional[Dict[int, Combo]] = None
@@ -156,32 +294,14 @@ class ColumnarGrouping:
 
     def rows_by_key(self) -> Dict[int, List[int]]:
         """``composed key → row fact ids`` (the integer-level groups)."""
-        rows = self._rows_by_key
-        if rows is None:
-            rows = {}
-            get = rows.get
-            for key, fid in zip(self.keys, self.row_facts):
-                bucket = get(key)
-                if bucket is None:
-                    rows[key] = [fid]
-                else:
-                    bucket.append(fid)
-            self._rows_by_key = rows
-        return rows
-
-    def combo_of(self, key: int) -> Combo:
-        """Decode a composed key to its value combo (grouping order)."""
-        values: List[DimensionValue] = []
-        for _, radix, decode in reversed(self._specs):
-            key, digit = divmod(key, radix)
-            values.append(decode[digit])
-        values.reverse()
-        return tuple(values)
+        if self._rows_by_key is None:
+            self._rows_by_key = _members_by_key(self.keys, self.row_facts)
+        return self._rows_by_key
 
     def combos(self) -> Dict[int, Combo]:
         """Every distinct key decoded, cached."""
         if self._combos is None:
-            self._combos = {key: self.combo_of(key)
+            self._combos = {key: _decode_key(self._decodes, key)
                             for key in self.rows_by_key()}
         return self._combos
 
@@ -289,86 +409,17 @@ class ColumnarStore:
     def _build_grouping(self, items: Tuple[Tuple[str, str], ...],
                         stamp: tuple) -> Optional[ColumnarGrouping]:
         index = self._index
-        mo = index.mo
         with trace.span("columnar.build", grouping=items):
-            specs: List[Tuple[str, int, List[DimensionValue]]] = []
-            nontrivial = []  # (value-id column, multi map, code map, radix)
-            empty = False
-            max_key = 1
-            for name, category in items:
-                dimension = mo.dimension(name)
-                if category == dimension.dtype.top_name:
-                    # ⊤ groups every fact into one cell: radix 1
-                    specs.append((name, 1, [dimension.top_value]))
-                    continue
-                column, multi = index.grouping_value_id_array(name, category)
-                vids = {vid for vid in column if vid >= 0}
-                for vid_tuple in multi.values():
-                    vids.update(vid_tuple)
-                if not vids:
-                    # no fact characterized in this dimension: no groups
-                    specs.append((name, 1, [dimension.top_value]))
-                    empty = True
-                    continue
-                ordered = sorted(vids)
-                code = {vid: i for i, vid in enumerate(ordered)}
-                decode = [index.value_of(name, vid) for vid in ordered]
-                radix = len(ordered)
-                max_key *= radix
-                if max_key > MAX_COMPOSED_KEY:
-                    _RADIX_FALLBACK.inc()
-                    return None
-                specs.append((name, radix, decode))
-                nontrivial.append((column, multi, code, radix))
-            keys = array("q")
-            row_facts = array("q")
-            if not empty:
-                self._fill_rows(nontrivial, keys, row_facts)
+            digits = _key_layout(index, items)
+            if digits is None:
+                _RADIX_FALLBACK.inc()
+                return None
+            keys, row_facts = _compose_keys(digits,
+                                            sorted(index.mo_fact_ids()))
             _BUILDS.inc()
-            return ColumnarGrouping(index, self, items, keys, row_facts,
-                                    specs, stamp)
-
-    def _fill_rows(self, nontrivial, keys: array, row_facts: array) -> None:
-        """One pass over the MO's facts in id order, composing each
-        fact's key digit by digit; imprecise facts product-expand."""
-        index = self._index
-        append_key = keys.append
-        append_fact = row_facts.append
-        fact_ids = sorted(index.mo_fact_ids())
-        if not nontrivial:
-            # every dimension grouped at ⊤: the single apex cell
-            for fid in fact_ids:
-                append_key(0)
-                append_fact(fid)
-            return
-        for fid in fact_ids:
-            composed = 0
-            expansions = None
-            for column, multi, code, radix in nontrivial:
-                vid = column[fid] if fid < len(column) else UNCHARACTERIZED
-                if vid >= 0:
-                    digit = code[vid]
-                    if expansions is None:
-                        composed = composed * radix + digit
-                    else:
-                        expansions = [k * radix + digit for k in expansions]
-                elif vid == MULTI_VALUED:
-                    digits = [code[v] for v in multi[fid]]
-                    if expansions is None:
-                        expansions = [composed * radix + d for d in digits]
-                    else:
-                        expansions = [k * radix + d
-                                      for k in expansions for d in digits]
-                else:  # UNCHARACTERIZED: the fact drops out entirely
-                    expansions = ()
-                    break
-            if expansions is None:
-                append_key(composed)
-                append_fact(fid)
-            else:
-                for key in expansions:
-                    append_key(key)
-                    append_fact(fid)
+            return ColumnarGrouping(
+                index, self, items, keys, row_facts,
+                [digit.decode for digit in digits], stamp)
 
     def measure_column(self, dimension_name: str) -> MeasureColumn:
         """The per-fact measure summaries of one dimension, rebuilt when

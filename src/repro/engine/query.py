@@ -18,7 +18,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from itertools import product
+from operator import itemgetter
+from typing import (Dict, FrozenSet, Hashable, Iterable, List, Optional,
+                    Sequence, Tuple, Union)
 
 from repro.algebra import (
     SetCount,
@@ -31,7 +34,7 @@ from repro.algebra.functions import AggregationFunction
 from repro.core.errors import SchemaError
 from repro.core.helpers import make_result_spec
 from repro.core.mo import MultidimensionalObject, TimeKind
-from repro.core.values import DimensionValue
+from repro.core.values import DimensionValue, Fact
 from repro.engine import result_cache as result_cache_module
 from repro.engine.backends import ExecutionBackend, dispatch, resolve_backend
 from repro.engine.plan_fingerprint import (
@@ -47,42 +50,67 @@ __all__ = ["Query", "QueryResultRow", "ExplainStep", "QueryExplain"]
 
 QueryResultRow = Tuple[Dict[str, DimensionValue], object]
 
-def _row_sort_key(names):
-    """Deterministic row order shared by every answer path: the value
-    combination's reprs, then the aggregate value's repr — distinct
-    merged groups can present the same combination (an imprecise
-    multi-valued fact re-expanded next to a precise neighbour), and
-    without the value tiebreak their relative order would be the
-    producing path's iteration order."""
-    def key(row):
-        group, value = row
-        return (tuple(repr(group[name]) for name in names), repr(value))
-    return key
+#: one group as an answer path hands it to :func:`_finalize_rows`: its
+#: members (any hashable whose equality is member-set equality), its
+#: value combination in row-name order, and its raw aggregate value
+_Group = Tuple[Hashable, Tuple[DimensionValue, ...], object]
+
+
+def _finalize_rows(names: Sequence[str],
+                   groups: Iterable[_Group]) -> List[QueryResultRow]:
+    """Every answer path's rows, in α's presentation.  α identifies a
+    set-fact by its members (§4.1), so groups with equal members merge
+    into one, keeping the first raw value; a merged group re-expands as
+    the cross product of its repr-sorted per-dimension value sets, one
+    row per combination.  Rows sort by the combination's reprs, then the
+    raw value's repr: a re-expanded combination can coincide with a
+    precise neighbour's, and without the tiebreak their order would be
+    the producing path's iteration order."""
+    merged: Dict[Hashable, Tuple[List[Tuple[DimensionValue, ...]],
+                                 object]] = {}
+    for members, combo, raw in groups:
+        entry = merged.get(members)
+        if entry is None:
+            merged[members] = ([combo], raw)
+        else:
+            entry[0].append(combo)
+    reprs: Dict[int, str] = {}  # per value object: values recur a lot
+
+    def value_repr(value: DimensionValue) -> str:
+        found = reprs.get(id(value))
+        if found is None:
+            found = reprs[id(value)] = repr(value)
+        return found
+
+    keyed = []
+    for combos, raw in merged.values():
+        if len(combos) > 1:
+            combos = list(product(*[
+                sorted(set(values), key=value_repr)
+                for values in zip(*combos)
+            ]))
+        raw_repr = repr(raw)
+        for combo in combos:
+            keyed.append(((tuple(map(value_repr, combo)), raw_repr),
+                          combo, raw))
+    keyed.sort(key=itemgetter(0))
+    return [(dict(zip(names, combo)), raw) for _, combo, raw in keyed]
 
 
 def _alpha_rows(aggregated: MultidimensionalObject,
                 names: List[str]) -> List[QueryResultRow]:
     """The rows of α's result MO (result dimension ``__query_result``),
-    grouped by the dimensions ``names``, sorted like every answer path.
-    α merges value combinations that select the same facts into one
-    set-fact related to several values; the tabular view re-expands
-    them, one row per combination."""
-    rows: List[QueryResultRow] = []
+    grouped by the dimensions ``names``.  Each result set-fact stands
+    for its members and may relate to several values per dimension
+    (the combinations α merged)."""
+    results = aggregated.relation("__query_result")
+    relations = [aggregated.relation(name) for name in names]
+    groups: List[_Group] = []
     for fact in aggregated.facts:
-        raw = next(
-            iter(aggregated.relation("__query_result").values_of(fact))
-        ).sid
-        combos: List[Dict[str, DimensionValue]] = [{}]
-        for name in names:
-            values = sorted(
-                aggregated.relation(name).values_of(fact), key=repr)
-            combos = [
-                {**combo, name: value}
-                for combo in combos for value in values
-            ]
-        rows.extend((group, raw) for group in combos)
-    rows.sort(key=_row_sort_key(names))
-    return rows
+        raw = next(iter(results.values_of(fact))).sid
+        for combo in product(*[r.values_of(fact) for r in relations]):
+            groups.append((fact, combo, raw))
+    return _finalize_rows(names, groups)
 
 
 _PATH_STORE = metrics.counter("query.path.store")
@@ -463,20 +491,16 @@ class Query:
             return None
         if not function.check_applicable(self._mo, strict=strict_types):
             return None  # let α issue its summarizability warning
-        if not self._mo.facts:
-            return []
-        if not self._grouping:
-            return [({}, len(self._mo.facts))]
-        (name, category), = self._grouping.items()
-        char_map = self._mo.rollup_index().characterization_map(
-            name, category)
-        rows: List[QueryResultRow] = [
-            ({name: value}, len(facts))
-            for value, facts in char_map.items()
-            if facts
-        ]
-        rows.sort(key=lambda row: repr(row[0][name]))
-        return rows
+        cells: List[Tuple[Tuple[DimensionValue, ...], FrozenSet[Fact]]]
+        if self._grouping:
+            (name, category), = self._grouping.items()
+            char_map = self._mo.rollup_index().characterization_map(
+                name, category)
+            cells = [((value,), facts) for value, facts in char_map.items()]
+        else:
+            cells = [((), frozenset(self._mo.facts))]
+        return _finalize_rows(sorted(self._grouping), (
+            (facts, combo, len(facts)) for combo, facts in cells if facts))
 
     def _try_store(
         self, function: AggregationFunction
@@ -491,48 +515,21 @@ class Query:
             if set(source) != set(self._grouping):
                 continue
             if source == self._grouping:
-                return (self._rows_from(materialized.results,
-                                        materialized.groups,
-                                        sorted(source)),
-                        f"exact hit: {function.name} @ "
-                        f"{dict(sorted(source.items()))}")
-            if self._store.can_roll_up(materialized, function,
-                                       self._grouping):
-                combined, groups = self._store.rolled_up(
+                results, groups = materialized.results, materialized.groups
+                detail = (f"exact hit: {function.name} @ "
+                          f"{dict(sorted(source.items()))}")
+            elif self._store.can_roll_up(materialized, function,
+                                         self._grouping):
+                results, groups = self._store.rolled_up(
                     function, source, self._grouping)
-                return (self._rows_from(combined, groups,
-                                        sorted(self._grouping)),
-                        f"rolled up from {dict(sorted(source.items()))}")
+                detail = f"rolled up from {dict(sorted(source.items()))}"
+            else:
+                continue
+            rows = _finalize_rows(sorted(self._grouping), (
+                (frozenset(groups[combo]), combo, value)
+                for combo, value in results.items()))
+            return rows, detail
         return None
-
-    def _rows_from(self, results, groups, names) -> List[QueryResultRow]:
-        """Stored cells as rows, in α's presentation: value combinations
-        selecting the same facts merge into one group (α identifies a
-        set-fact by its members), and the tabular view re-expands the
-        cross product of the merged per-dimension value sets — without
-        the merge, an imprecise multi-valued fact yields rows the α
-        path would have folded into (and re-expanded differently from)
-        its neighbours."""
-        merged: Dict[frozenset, Tuple[List[set], object]] = {}
-        for combo, value in results.items():
-            key = frozenset(groups[combo])
-            entry = merged.get(key)
-            if entry is None:
-                entry = merged[key] = ([set() for _ in names], value)
-            for value_set, combo_value in zip(entry[0], combo):
-                value_set.add(combo_value)
-        rows: List[QueryResultRow] = []
-        for value_sets, value in merged.values():
-            combos: List[Dict[str, DimensionValue]] = [{}]
-            for name, value_set in zip(names, value_sets):
-                combos = [
-                    {**combo, name: each}
-                    for combo in combos
-                    for each in sorted(value_set, key=repr)
-                ]
-            rows.extend((combo, value) for combo in combos)
-        rows.sort(key=_row_sort_key(names))
-        return rows
 
     def counts(self) -> List[QueryResultRow]:
         """Shorthand for ``execute(SetCount())``."""

@@ -10,8 +10,8 @@ sentence into a plan:
   materializations (nothing finer can serve them);
 * for the summarizable rest, a greedy pass picks up to ``budget``
   *covering* materializations, preferring finer groupings that can
-  serve many requested ones by safe combination, weighted by how much
-  scanning they save.
+  serve many requested ones by safe combination — the combinations the
+  store itself accepts (:meth:`PreAggregateStore.can_roll_up`).
 
 The output is an ordered list of
 :class:`MaterializationRecommendation`; feeding it to a
@@ -55,10 +55,16 @@ def _key(grouping: Grouping) -> Tuple[Tuple[str, str], ...]:
 
 def _covers(mo: MultidimensionalObject, finer: Grouping,
             coarser: Grouping) -> bool:
+    """The store's roll-up rule per dimension: ``coarser`` is at or
+    above ``finer`` in the schema, and on the instance every fact
+    visible at either level sits under exactly one finer value
+    (:meth:`~repro.engine.rollup_index.RollupIndex.covers`)."""
     if set(finer) != set(coarser):
         return False
+    index = mo.rollup_index()
     return all(
         mo.dimension(name).dtype.leq(finer[name], coarser[name])
+        and index.covers(name, finer[name], coarser[name])
         for name in finer
     )
 

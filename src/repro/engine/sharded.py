@@ -2,10 +2,12 @@
 
 :func:`repro.algebra.aggregate.aggregate_sharded` is the trusted
 single-process statement of partition-and-merge semantics; this module
-is its executor: partition the fact set by interned-id range, build the
-per-shard columnar grouping *in worker processes*, and merge per-key
+is its executor: partition the fact set by interned-id range, compose
+each shard's group keys *in worker processes* with the columnar
+layout's own functions (:mod:`repro.engine.columnar`), and merge per-key
 partials with ``function.combine`` (ALGEBRAIC functions — AVG — merge
 ``(sum, count)`` accumulator states instead, never finished results).
+The merged groups become rows through the engine's one row finalizer.
 
 Admission is gated by the static shard-safety analyzer: the backend
 :meth:`~ShardedBackend.supports` a plan only when
@@ -20,7 +22,7 @@ Worker payloads are **pickling-safe by construction**: contiguous
 slices of the rollup index's interned arrays (value-id columns, multi-
 value side maps, measure summaries) plus the function instance — never
 a live MO, dimension, or index.  The parent keeps the decode tables
-(value id → :class:`~repro.core.values.DimensionValue`), so workers
+(digit → :class:`~repro.core.values.DimensionValue`), so workers
 move only machine integers and floats.  A payload round-trips through
 ``pickle`` under the ``spawn`` start method, which the regression test
 pins even though Linux CI forks.
@@ -50,7 +52,7 @@ from array import array
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 from weakref import WeakKeyDictionary
 
 from repro.algebra.functions import AggregationFunction, has_batch_kernel
@@ -62,17 +64,28 @@ from repro.engine.backends import (
     ExecutionBackend,
     register_backend,
 )
-from repro.engine.columnar import MAX_COMPOSED_KEY
+from repro.engine.columnar import (
+    MAX_COMPOSED_KEY,
+    KeyDigit,
+    MeasureRows,
+    _compose_keys,
+    _decode_key,
+    _key_layout,
+    _members_by_key,
+)
+from repro.engine.query import (
+    ExplainStep,
+    QueryResultRow,
+    _finalize_rows,
+)
 from repro.engine.result_cache import version_vector
-from repro.engine.rollup_index import MULTI_VALUED, UNCHARACTERIZED
 from repro.obs import metrics, trace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.analyze.diagnostics import Diagnostic
-    from repro.engine.query import ExplainStep, Query, QueryResultRow
+    from repro.engine.query import Query
 
 __all__ = [
-    "ShardDimension",
     "ShardMeasures",
     "ShardPayload",
     "ShardResult",
@@ -94,30 +107,9 @@ _MERGE_KEYS = metrics.histogram("sharded.merge.keys")
 #: variants); least recently used beyond this are dropped.
 MAX_CACHED_PAYLOADS = 8
 
-#: per-dimension decode spec the parent keeps: (name, radix, code →
-#: value table) in sorted-grouping order — the same shape
-#: :class:`~repro.engine.columnar.ColumnarGrouping` uses.
-Spec = Tuple[str, int, List[DimensionValue]]
-
 
 # ---------------------------------------------------------------------------
 # worker payloads (picklable: interned arrays, never live MOs)
-
-
-@dataclass(frozen=True)
-class ShardDimension:
-    """One grouped dimension's slice of a shard payload.
-
-    ``column[fid - base]`` is the fact's single grouping-value id,
-    :data:`~repro.engine.rollup_index.UNCHARACTERIZED`, or
-    :data:`~repro.engine.rollup_index.MULTI_VALUED` with the id tuple in
-    ``multi[fid]``; ``code`` maps value ids to mixed-radix digits."""
-
-    name: str
-    radix: int
-    column: array
-    multi: Dict[int, Tuple[int, ...]]
-    code: Dict[int, int]
 
 
 @dataclass(frozen=True)
@@ -139,7 +131,8 @@ class ShardPayload:
     shard: int
     base: int
     fact_ids: array
-    dims: Tuple[ShardDimension, ...]
+    #: the composing key digits, their columns sliced to the shard
+    dims: Tuple[KeyDigit, ...]
     measures: Tuple[ShardMeasures, ...]
     function: AggregationFunction
     #: ``"distributive"`` evaluates the function's batch kernel per
@@ -155,83 +148,23 @@ class ShardResult:
     shard: int
     n_rows: int
     partials: Dict[int, object]
-    fact_lists: Dict[int, array]
+    fact_lists: Dict[int, List[int]]
     #: keys with at least one measured row in this shard, or ``None``
     #: when the function takes no measure argument.  The merge drops
     #: placeholder partials (MIN/MAX's ``nan``) from unmeasured shards.
     measured: Optional[frozenset]
 
 
-class _RowMeasures:
-    """A :class:`ShardMeasures` slice gathered row-aligned with the
-    worker's key column — duck-typed to
-    :class:`~repro.engine.columnar.MeasureRows` for ``batch_apply``."""
-
-    __slots__ = ("counts", "sums", "mins", "maxs")
-
-    def __init__(self, measures: ShardMeasures, row_facts: array,
-                 base: int) -> None:
-        idxs = [fid - base for fid in row_facts]
-        self.counts = array("q", map(measures.counts.__getitem__, idxs))
-        self.sums = array("d", map(measures.sums.__getitem__, idxs))
-        self.mins = array("d", map(measures.mins.__getitem__, idxs))
-        self.maxs = array("d", map(measures.maxs.__getitem__, idxs))
-
-
 def _run_shard(payload: ShardPayload) -> ShardResult:
-    """The worker: compose mixed-radix group keys for the shard's fact
-    range (mirroring ``ColumnarStore._fill_rows`` — imprecise facts
-    product-expand, uncharacterized facts drop), evaluate the function,
-    and return per-key partials plus group membership.  Module-level so
-    the ``spawn`` start method can import it by reference."""
-    keys = array("q")
-    row_facts = array("q")
-    append_key = keys.append
-    append_fact = row_facts.append
+    """The worker: compose the group keys of the shard's fact range with
+    the columnar layout's functions (imprecise facts product-expand,
+    uncharacterized facts drop), evaluate the function, and return
+    per-key partials plus group membership.  Module-level so the
+    ``spawn`` start method can import it by reference."""
     base = payload.base
-    dims = payload.dims
-    if not dims:
-        # every grouped dimension is trivial: the single apex cell
-        for fid in payload.fact_ids:
-            append_key(0)
-            append_fact(fid)
-    else:
-        for fid in payload.fact_ids:
-            composed = 0
-            expansions = None
-            for dim in dims:
-                idx = fid - base
-                column = dim.column
-                vid = (column[idx] if 0 <= idx < len(column)
-                       else UNCHARACTERIZED)
-                if vid >= 0:
-                    digit = dim.code[vid]
-                    if expansions is None:
-                        composed = composed * dim.radix + digit
-                    else:
-                        expansions = [k * dim.radix + digit
-                                      for k in expansions]
-                elif vid == MULTI_VALUED:
-                    digits = [dim.code[v] for v in dim.multi[fid]]
-                    if expansions is None:
-                        expansions = [composed * dim.radix + d
-                                      for d in digits]
-                    else:
-                        expansions = [k * dim.radix + d
-                                      for k in expansions for d in digits]
-                else:  # UNCHARACTERIZED: the fact drops out entirely
-                    expansions = ()
-                    break
-            if expansions is None:
-                append_key(composed)
-                append_fact(fid)
-            else:
-                for key in expansions:
-                    append_key(key)
-                    append_fact(fid)
-
+    keys, row_facts = _compose_keys(payload.dims, payload.fact_ids, base)
     function = payload.function
-    measures = {m.name: _RowMeasures(m, row_facts, base)
+    measures = {m.name: MeasureRows(m, [fid - base for fid in row_facts])
                 for m in payload.measures}
     measured: Optional[frozenset] = None
     if payload.mode == "algebraic":
@@ -252,16 +185,9 @@ def _run_shard(payload: ShardPayload) -> ShardResult:
             measured = frozenset(
                 key for key, count in zip(keys, rows.counts) if count)
 
-    fact_lists: Dict[int, array] = {}
-    get = fact_lists.get
-    for key, fid in zip(keys, row_facts):
-        bucket = get(key)
-        if bucket is None:
-            fact_lists[key] = array("q", (fid,))
-        else:
-            bucket.append(fid)
     return ShardResult(shard=payload.shard, n_rows=len(keys),
-                       partials=partials, fact_lists=fact_lists,
+                       partials=partials,
+                       fact_lists=_members_by_key(keys, row_facts),
                        measured=measured)
 
 
@@ -283,50 +209,25 @@ def build_payloads(
     function: AggregationFunction,
     mode: str,
     n_shards: int,
-) -> Tuple[List[ShardPayload], List[Spec]]:
+) -> Tuple[List[ShardPayload], List[Sequence[DimensionValue]]]:
     """Slice ``mo``'s interned columns into ``n_shards`` contiguous
-    fact-id ranges plus the parent-side decode specs (sorted-grouping
-    order, so decoded combos align with the row names).  Raises
+    fact-id ranges, plus the parent-side decode tables in
+    sorted-grouping order (so decoded combos align with the row
+    names).  Raises
     :class:`~repro.engine.backends.BackendRefused` (``MD077``) on a
     composed-key radix overflow or a poisoned measure column."""
     index = mo.rollup_index()
     names = sorted(grouping)
     location = f"α grouping {names}"
-    specs: List[Spec] = []
-    nontrivial = []  # (name, column, multi, code, radix)
-    empty = False
-    max_key = 1
-    for name in names:
-        category = grouping[name]
-        dimension = mo.dimension(name)
-        if category == dimension.dtype.top_name:
-            # ⊤ groups every fact into one cell: radix 1, no column
-            specs.append((name, 1, [dimension.top_value]))
-            continue
-        column, multi = index.grouping_value_id_array(name, category)
-        vids = {vid for vid in column if vid >= 0}
-        for vid_tuple in multi.values():
-            vids.update(vid_tuple)
-        if not vids:
-            # no fact characterized in this dimension: no groups at all
-            specs.append((name, 1, [dimension.top_value]))
-            empty = True
-            continue
-        ordered = sorted(vids)
-        code = {vid: i for i, vid in enumerate(ordered)}
-        decode = [index.value_of(name, vid) for vid in ordered]
-        radix = len(ordered)
-        max_key *= radix
-        if max_key > MAX_COMPOSED_KEY:
-            raise BackendRefused(_refusal(
-                f"composed group-key space of {names} overflows "
-                f"{MAX_COMPOSED_KEY} (signed 64-bit keys)", location))
-        specs.append((name, radix, decode))
-        nontrivial.append((name, column, multi, code, radix))
-
+    digits = _key_layout(index, [(name, grouping[name]) for name in names])
+    if digits is None:
+        raise BackendRefused(_refusal(
+            f"composed group-key space of {names} overflows "
+            f"{MAX_COMPOSED_KEY} (signed 64-bit keys)", location))
+    decodes = [digit.decode for digit in digits]
     fact_ids = sorted(index.mo_fact_ids())
-    if empty or not fact_ids:
-        return [], specs
+    if not fact_ids:
+        return [], decodes
 
     measure_columns = []
     if function.args:
@@ -351,13 +252,12 @@ def build_payloads(
             continue
         lo, hi = shard_ids[0], shard_ids[-1]
         dims = tuple(
-            ShardDimension(
-                name=name, radix=radix,
-                column=column[lo:hi + 1],
-                multi={fid: vids for fid, vids in multi.items()
+            digit._replace(
+                column=digit.column[lo:hi + 1],
+                multi={fid: vids for fid, vids in digit.multi.items()
                        if lo <= fid <= hi},
-                code=code)
-            for name, column, multi, code, radix in nontrivial)
+                decode=())
+            for digit in digits if digit.column is not None)
         measures = tuple(
             ShardMeasures(name=arg,
                           counts=measure.counts[lo:hi + 1],
@@ -368,7 +268,7 @@ def build_payloads(
         payloads.append(ShardPayload(
             shard=shard, base=lo, fact_ids=array("q", shard_ids),
             dims=dims, measures=measures, function=function, mode=mode))
-    return payloads, specs
+    return payloads, decodes
 
 
 _POOL_LOCK = threading.Lock()
@@ -402,28 +302,16 @@ def shutdown_pool() -> None:
         _POOL_WORKERS = 0
 
 
-def _row_sort_key(names):
-    from repro.engine.query import _row_sort_key as key
-    return key(names)
-
-
-def _decode(key: int, specs: List[Spec]) -> Tuple[DimensionValue, ...]:
-    values: List[DimensionValue] = []
-    for _name, radix, decode in reversed(specs):
-        key, digit = divmod(key, radix)
-        values.append(decode[digit])
-    values.reverse()
-    return tuple(values)
-
-
 def _merge_rows(
     results: List[ShardResult],
-    specs: List[Spec],
+    decodes: List[Sequence[DimensionValue]],
     names: List[str],
     function: AggregationFunction,
     mode: str,
-) -> List["QueryResultRow"]:
-    """Merge per-shard partials into α's row presentation.
+) -> List[QueryResultRow]:
+    """Merge per-shard partials into each key's raw value, then hand
+    every key's ``(members, combo, raw)`` to the engine's row finalizer
+    (α's merged-group presentation).
 
     Partials are combined in shard (= fact-id) order; a key seen in one
     shard keeps its partial unmerged, the way
@@ -431,10 +319,7 @@ def _merge_rows(
     combine for singleton cells.  MIN/MAX placeholder partials from
     shards where a key has rows but no measures are dropped (unless no
     shard measured the key, where all-placeholder partials combine to
-    the kernel's ``nan``).  Value combinations selecting the same fact
-    set then merge into one group and re-expand as the cross product of
-    the per-dimension value sets — byte-identical to
-    ``Query._run_alpha``'s presentation of α's set-fact identity."""
+    the kernel's ``nan``)."""
     partials: Dict[int, List[object]] = {}
     flags: Dict[int, List[bool]] = {}
     members: Dict[int, List[int]] = {}
@@ -468,33 +353,9 @@ def _merge_rows(
                         in zip(parts, key_flags) if measured]
         raws[key] = kept[0] if len(kept) == 1 else function.combine(kept)
 
-    # α identifies a set-fact by its members: combinations selecting
-    # the same fact set collapse into one group, re-expanded below
-    merged: Dict[frozenset, Tuple[List[int], object]] = {}
-    for key in sorted(raws):
-        group_members = frozenset(members[key])
-        entry = merged.get(group_members)
-        if entry is None:
-            merged[group_members] = ([key], raws[key])
-        else:
-            entry[0].append(key)
-
-    rows: List["QueryResultRow"] = []
-    for keys, raw in merged.values():
-        value_sets: List[set] = [set() for _ in names]
-        for key in keys:
-            for value_set, value in zip(value_sets, _decode(key, specs)):
-                value_set.add(value)
-        combos: List[Dict[str, DimensionValue]] = [{}]
-        for name, value_set in zip(names, value_sets):
-            combos = [
-                {**combo, name: value}
-                for combo in combos
-                for value in sorted(value_set, key=repr)
-            ]
-        rows.extend((combo, raw) for combo in combos)
-    rows.sort(key=_row_sort_key(names))
-    return rows
+    return _finalize_rows(names, (
+        (frozenset(members[key]), _decode_key(decodes, key), raws[key])
+        for key in sorted(raws)))
 
 
 class ShardedBackend(ExecutionBackend):
@@ -516,7 +377,7 @@ class ShardedBackend(ExecutionBackend):
             raise ValueError("n_shards must be >= 1")
         self._n_shards = n_shards
         # MO → (versions, dices, grouping, args, mode, n_shards) →
-        # (payloads, specs); version-keyed, so mutation misses
+        # (payloads, decodes); version-keyed, so mutation misses
         cache: "WeakKeyDictionary[MultidimensionalObject, OrderedDict]"
         cache = WeakKeyDictionary()
         self._payload_cache = cache
@@ -586,9 +447,9 @@ class ShardedBackend(ExecutionBackend):
     def _payloads(
         self, query: "Query", mo: MultidimensionalObject,
         function: AggregationFunction, mode: str,
-    ) -> Tuple[List[ShardPayload], List[Spec], bool]:
+    ) -> Tuple[List[ShardPayload], List[Sequence[DimensionValue]], bool]:
         """Version-keyed payload cache around :func:`build_payloads`;
-        returns ``(payloads, specs, was_cache_hit)``.  Keyed on the
+        returns ``(payloads, decodes, was_cache_hit)``.  Keyed on the
         *original* MO (the diced MO is a fresh derivation per call) —
         ``select`` is deterministic, so original versions + dices
         determine the diced columns."""
@@ -607,7 +468,7 @@ class ShardedBackend(ExecutionBackend):
                     per_mo.move_to_end(key)
                     _PAYLOAD_HITS.inc()
                     return cached[0], cached[1], True
-        payloads, specs = build_payloads(
+        payloads, decodes = build_payloads(
             mo, dict(query._grouping), function, mode, self.n_shards)
         _PAYLOAD_BUILDS.inc()
         with self._cache_lock:
@@ -615,17 +476,16 @@ class ShardedBackend(ExecutionBackend):
             if per_mo is None:
                 per_mo = self._payload_cache.setdefault(
                     query._mo, OrderedDict())
-            per_mo[key] = (payloads, specs)
+            per_mo[key] = (payloads, decodes)
             per_mo.move_to_end(key)
             while len(per_mo) > MAX_CACHED_PAYLOADS:
                 per_mo.popitem(last=False)
-        return payloads, specs, False
+        return payloads, decodes, False
 
     def run(self, query: "Query", plan,
             function: AggregationFunction, strict_types: bool,
-            steps: Optional[List["ExplainStep"]],
-            ) -> Tuple[List["QueryResultRow"], str]:
-        from repro.engine.query import ExplainStep
+            steps: Optional[List[ExplainStep]],
+            ) -> Tuple[List[QueryResultRow], str]:
         # α's applicability gate, replicated so strict mode raises (and
         # warn mode warns) exactly as the memory path would
         applicable = function.check_applicable(query._mo,
@@ -652,8 +512,8 @@ class ShardedBackend(ExecutionBackend):
                         n_dices=len(query._dices),
                         function=function.name, backend="sharded"):
             t0 = time.perf_counter()
-            payloads, specs, hit = self._payloads(query, mo, function,
-                                                  mode)
+            payloads, decodes, hit = self._payloads(query, mo, function,
+                                                    mode)
             if steps is not None:
                 steps.append(ExplainStep(
                     name="shard-plan",
@@ -678,7 +538,7 @@ class ShardedBackend(ExecutionBackend):
                     facts_in=sum(len(p.fact_ids) for p in payloads),
                     facts_out=sum(r.n_rows for r in results)))
             t0 = time.perf_counter()
-            rows = _merge_rows(results, specs, names, function, mode)
+            rows = _merge_rows(results, decodes, names, function, mode)
             if steps is not None:
                 steps.append(ExplainStep(
                     name="shard-merge",

@@ -37,7 +37,7 @@ from typing import Dict, List, Optional, Set, Tuple
 from repro.core.mo import MultidimensionalObject
 from repro.core.values import Fact
 from repro.engine.optimizer import Plan
-from repro.engine.query import QueryResultRow
+from repro.engine.query import QueryResultRow, _finalize_rows
 from repro.obs import metrics, trace
 from repro.relational.backend.compiler import (
     AggPushdown,
@@ -47,7 +47,6 @@ from repro.relational.backend.compiler import (
     StarCatalog,
     compile_plan,
     raw_result,
-    rows_kind_groups,
 )
 from repro.relational.backend.loader import (
     LoadedStar,
@@ -145,8 +144,10 @@ class SqlBackend:
         return self.run_facts(self.compile(plan))
 
     def run_rows(self, compiled: CompiledPlan) -> List[QueryResultRow]:
-        """Run a compiled ``"rows"`` plan and decode the result set
-        with α's merge-and-re-expand semantics."""
+        """Run a compiled ``"rows"`` plan: collect each grouping combo's
+        fact set, decode its value ids, finish its raw value from the
+        per-fact measure stats, and present the groups with the
+        engine's row finalizer (α's merge-and-re-expand semantics)."""
         if compiled.kind != "rows" or compiled.aggregate is None:
             raise ValueError("run_rows needs a compiled root-α plan")
         loaded = self.ensure_loaded()
@@ -161,29 +162,21 @@ class SqlBackend:
                         agg.measure_sql,
                         agg.measure_params).fetchall():
                     stats[fact_id] = (int(cnt), s, mn, mx)
-            merged = rows_kind_groups(combo_rows, len(agg.names))
-            rows: List[QueryResultRow] = []
-            for fact_set in sorted(merged, key=sorted):
-                raw = raw_result(agg.function, fact_set, stats)
-                per_dim = [
-                    sorted({loaded.value_maps[agg.origins[k]][combo[k]]
-                            for combo in merged[fact_set]}, key=repr)
-                    for k in range(len(agg.names))
-                ]
-                expansion: List[Dict[str, object]] = [{}]
-                for k, name in enumerate(agg.names):
-                    expansion = [{**combo, name: value}
-                                 for combo in expansion
-                                 for value in per_dim[k]]
-                for group in expansion:
-                    rows.append((group, raw))
-            # the engine's row order: combo reprs, then the value repr
-            # as the tiebreak between merged groups presenting the same
-            # combination
-            rows.sort(key=lambda row: (
-                tuple(repr(row[0][name]) for name in agg.names),
-                repr(row[1])))
-            return rows
+            n_names = len(agg.names)
+            facts_by_combo: Dict[Tuple[str, ...], Set[str]] = {}
+            for row in combo_rows:
+                facts_by_combo.setdefault(
+                    tuple(row[:n_names]), set()).add(row[n_names])
+            decoders = [loaded.value_maps[origin] for origin in agg.origins]
+            groups = []
+            for combo, fact_ids in facts_by_combo.items():
+                members = frozenset(fact_ids)
+                groups.append((
+                    members,
+                    tuple(decode[value_id]
+                          for decode, value_id in zip(decoders, combo)),
+                    raw_result(agg.function, members, stats)))
+            return _finalize_rows(agg.names, groups)
 
     def run_facts(self, compiled: CompiledPlan) -> Set[Fact]:
         """Run a compiled ``"facts"`` plan and decode the fact ids."""

@@ -16,11 +16,13 @@ The compiler translates the pushable subset of
   category per grouped dimension) returning ``(grouping values, fact)``
   pairs, plus one ``GROUP BY fact_id`` statement pushing
   COUNT/SUM/MIN/MAX of the argument dimension's measures down to the
-  engine.  The backend finishes groups exactly the way α does —
-  merging value combinations that select the same fact set and
-  re-expanding the merged combinations as a cross product — so results
-  are byte-identical, including the in-memory empty-group conventions
-  (``sum([]) == 0`` is an int; AVG/MIN/MAX of nothing is ``nan``).
+  engine.  The backend finishes each group's raw value here
+  (:func:`raw_result`) and presents the groups with the engine's own
+  row finalizer — merging value combinations that select the same fact
+  set and re-expanding the merged combinations as a cross product — so
+  results are byte-identical, including the in-memory empty-group
+  conventions (``sum([]) == 0`` is an int; AVG/MIN/MAX of nothing is
+  ``nan``).
 
 Everything outside that subset raises :class:`PushdownUnsupported`
 with a stable ``MD05x`` diagnostic code — the same exception the
@@ -33,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 from repro.algebra.functions import (
     AggregationFunction,
@@ -492,21 +494,3 @@ def raw_result(function: AggregationFunction,
     if isinstance(function, Max):
         return float(max(s[3] for s in stats)) if count else math.nan
     raise ValueError(f"no finisher for {function.name}")  # pragma: no cover
-
-
-def rows_kind_groups(
-    combo_rows: Iterable[Tuple[object, ...]],
-    n_names: int,
-) -> Dict[FrozenSet[str], List[Tuple[str, ...]]]:
-    """Group the ``(value ids…, fact id)`` result set the way α does:
-    first by grouping-value combination, then merging combinations
-    that select the same fact set (those become one set-fact related
-    to every merged combination's values)."""
-    by_combo: Dict[Tuple[str, ...], set] = {}
-    for row in combo_rows:
-        combo = tuple(row[:n_names])
-        by_combo.setdefault(combo, set()).add(row[n_names])
-    merged: Dict[FrozenSet[str], List[Tuple[str, ...]]] = {}
-    for combo, facts in by_combo.items():
-        merged.setdefault(frozenset(facts), []).append(combo)
-    return merged

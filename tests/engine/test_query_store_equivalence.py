@@ -41,11 +41,15 @@ def _draw_grouping(data, mo):
     return grouping
 
 
-def _rows(mo, store, grouping):
+def _query(mo, store, grouping):
     query = Query(mo, store=store)
     for name, category in grouping.items():
         query = query.rollup(name, category)
-    return query.execute(SetCount(), cache=False)
+    return query
+
+
+def _rows(mo, store, grouping):
+    return _query(mo, store, grouping).execute(SetCount(), cache=False)
 
 
 def _mutate(data, mo, next_fid):
@@ -148,10 +152,16 @@ class TestImpreciseMergeRegression:
     def test_merged_expansion_duplicates_the_shared_combination(self):
         """Both paths present (b0, c0) twice — once as the precise
         group {f0, f1} and once re-expanded from the merged {f0} —
-        with the value repr as the deterministic tiebreak."""
+        with the value repr as the deterministic tiebreak.  The SQL
+        backend answers the merged set-fact itself (no fallback) with
+        the same rows, byte for byte."""
         mo, (b0, c0) = _imprecise_merge_mo()
         direct = _rows(mo, None, self.GROUPING)
         assert len(direct) == 5
         shared = [n for g, n in direct
                   if (g["Dim0"], g["Dim1"]) == (b0, c0)]
         assert shared == [1, 2]
+        sql = _query(mo, None, self.GROUPING).explain(
+            SetCount(), backend="sql", cache=False)
+        assert sql.path == "sql"
+        assert repr(sql.rows) == repr(direct)

@@ -3,12 +3,14 @@
 import pytest
 
 from repro.algebra import SetCount
+from repro.casestudy.icd import IcdShape
 from repro.engine import PreAggregateStore
 from repro.engine.recommend import (
     MaterializationRecommendation,
     apply_recommendations,
     recommend_materializations,
 )
+from repro.workloads.generator import ClinicalConfig, generate_clinical
 
 FAMILY = {"Diagnosis": "Diagnosis Family"}
 GROUP = {"Diagnosis": "Diagnosis Group"}
@@ -43,6 +45,32 @@ class TestStrictWorkload:
             strict_clinical.mo).compute_from_base(SetCount(), GROUP)
         assert {k[0].sid: v for k, v in combined.items()} == \
             {k[0].sid: v for k, v in direct.items()}
+
+
+class TestAgreesWithStore:
+    def test_covering_recommendations_are_rollups_the_store_accepts(self):
+        """A strict ICD where some diagnoses are recorded at family
+        level: Low-level cells lose those patients, so the store refuses
+        to roll them up — a "covers" recommendation must never serve a
+        grouping the store would answer from base data instead."""
+        mo = generate_clinical(ClinicalConfig(
+            n_patients=60,
+            diagnoses_per_patient=(1, 1),
+            family_granularity_prob=0.1,
+            icd=IcdShape(n_groups=3, families_per_group=(2, 4),
+                         lowlevels_per_family=(2, 4),
+                         extra_parent_prob=0.0),
+            seed=99,
+        )).mo
+        recs = recommend_materializations(mo, [LOW, FAMILY, GROUP],
+                                          budget=3)
+        covering = [r for r in recs if r.reason.startswith("covers")]
+        assert covering
+        store = PreAggregateStore(mo)
+        for rec in covering:
+            stored = store.materialize(SetCount(), rec.grouping_dict())
+            for served in rec.serves:
+                assert store.can_roll_up(stored, SetCount(), dict(served))
 
 
 class TestNonStrictWorkload:
