@@ -147,7 +147,12 @@ class SqlBackend:
         """Run a compiled ``"rows"`` plan: collect each grouping combo's
         fact set, decode its value ids, finish its raw value from the
         per-fact measure stats, and present the groups with the
-        engine's row finalizer (α's merge-and-re-expand semantics)."""
+        engine's row finalizer (α's merge-and-re-expand semantics).
+
+        The measure statement depends only on the measure dimension,
+        so it runs once per load: its stats are kept on the
+        :class:`LoadedStar` and leave with it when a mutation reloads
+        the star."""
         if compiled.kind != "rows" or compiled.aggregate is None:
             raise ValueError("run_rows needs a compiled root-α plan")
         loaded = self.ensure_loaded()
@@ -158,10 +163,13 @@ class SqlBackend:
                 compiled.sql, compiled.params).fetchall()
             stats: Dict[str, Tuple[int, float, float, float]] = {}
             if agg.measure_sql:
-                for fact_id, cnt, s, mn, mx in cursor.execute(
-                        agg.measure_sql,
-                        agg.measure_params).fetchall():
-                    stats[fact_id] = (int(cnt), s, mn, mx)
+                key = (agg.measure_sql, agg.measure_params)
+                if key not in loaded.measure_stats:
+                    loaded.measure_stats[key] = {
+                        fact_id: (int(cnt), s, mn, mx)
+                        for fact_id, cnt, s, mn, mx
+                        in cursor.execute(*key).fetchall()}
+                stats = loaded.measure_stats[key]
             n_names = len(agg.names)
             facts_by_combo: Dict[Tuple[str, ...], Set[str]] = {}
             for row in combo_rows:

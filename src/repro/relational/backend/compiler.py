@@ -12,11 +12,13 @@ The compiler translates the pushable subset of
   (``∃ related r: ∀ targets v: r ≤ v``, which by transitivity of the
   containment order is exactly the algebra's existential
   single-witness semantics);
-* a root α becomes a grouping-membership join (bridge ⋈ closure ⋈
-  category per grouped dimension) returning ``(grouping values, fact)``
-  pairs, plus one ``GROUP BY fact_id`` statement pushing
-  COUNT/SUM/MIN/MAX of the argument dimension's measures down to the
-  engine.  The backend finishes each group's raw value here
+* a root α becomes one indexed lookup per grouped dimension in the
+  loader's ``member_i`` table (the category's ``f ⇝ e`` relation,
+  built once per load) returning ``(grouping values, fact)`` pairs,
+  plus one ``GROUP BY fact_id`` statement pushing COUNT/SUM/MIN/MAX of
+  the argument dimension's measures down to the engine — a statement
+  that depends only on the measure dimension, so the backend runs it
+  once per load.  The backend finishes each group's raw value here
   (:func:`raw_result`) and presents the groups with the engine's own
   row finalizer — merging value combinations that select the same fact
   set and re-expanding the merged combinations as a cross product — so
@@ -403,11 +405,8 @@ def _compile_aggregate(plan: AggregateNode,
         i = catalog.index(state.mapping[name])
         select_cols.append(f"g{k}.value_id")
         join_sql.append(
-            f"JOIN (SELECT DISTINCT b.fact_id, c.ancestor AS value_id "
-            f"FROM bridgev_{i} b "
-            f"JOIN closure_{i} c ON c.child = b.value_id "
-            f"JOIN cat_{i} cat ON cat.value_id = c.ancestor "
-            f"AND cat.category = ?) g{k} ON g{k}.fact_id = f.fact_id")
+            f"JOIN member_{i} g{k} "
+            f"ON g{k}.fact_id = f.fact_id AND g{k}.category = ?")
         params.append(grouping[name])
 
     # Dimensions of the current schema that are *not* grouped land at

@@ -13,8 +13,17 @@ The loader creates two layers of tables:
   including ⊤), ``bridgev_i`` (distinct fact–value pairs, ⊤ excluded),
   ``closure_i`` (the reflexive–transitive containment closure,
   computed *in SQL* by a recursive CTE over the hierarchy rows),
-  ``cat_i`` (value → category), and ``val_i`` (numeric surrogates for
-  measure pushdown).
+  ``cat_i`` (value → category), ``val_i`` (numeric surrogates for
+  measure pushdown), and ``member_i`` (category, value, fact): the
+  paper's ``f ⇝ e`` for every category at once, built in the engine
+  as ``bridgev_i ⋈ closure_i ⋈ cat_i`` so α's grouping is one indexed
+  lookup per fact instead of a join rebuilt inside every statement.
+
+Every column the compiled statements probe is indexed (``member_i``
+by a covering ``(category, fact_id, value_id)`` index), and one
+``ANALYZE`` after the last table gives the planner row counts, so no
+statement builds an automatic index or scans under a correlated
+subquery.  Only statements sqlite and DuckDB both accept are used.
 
 sqlite3 is the zero-dependency default; DuckDB is an optional extra
 behind the same interface (``SqlBackendUnavailable`` if absent).
@@ -23,7 +32,7 @@ behind the same interface (``SqlBackendUnavailable`` if absent).
 from __future__ import annotations
 
 import sqlite3
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.mo import MultidimensionalObject
@@ -59,7 +68,12 @@ def connect(engine: str = "sqlite"):
 
 @dataclass
 class LoadedStar:
-    """A populated connection plus the decode maps back to objects."""
+    """A populated connection plus the decode maps back to objects.
+
+    ``measure_stats`` holds each measure statement's per-fact stats,
+    keyed by ``(sql, params)``: they depend only on the measure
+    dimension, so one run per load serves every query, and a reload
+    (a new ``LoadedStar``) drops them with the stale star."""
 
     conn: object
     engine: str
@@ -67,6 +81,9 @@ class LoadedStar:
     value_maps: Dict[str, Dict[str, DimensionValue]]
     fact_map: Dict[str, Fact]
     n_rows: int
+    measure_stats: Dict[Tuple[str, Tuple[object, ...]],
+                        Dict[str, Tuple[int, float, float, float]]] = \
+        field(default_factory=dict)
 
     def close(self) -> None:
         self.conn.close()
@@ -114,6 +131,30 @@ def _load_relation(cursor, name: str, relation: Relation) -> int:
     rows = [tuple(_adapt(c, v) for c, v in zip(relation.attributes, row))
             for row in relation]
     return _insert_rows(cursor, name, relation.attributes, rows)
+
+
+def _index(cursor, table: str, columns: Tuple[str, ...]) -> None:
+    cursor.execute(f"CREATE INDEX idx_{table}_{'_'.join(columns)} "
+                   f"ON {table} ({', '.join(columns)})")
+
+
+def _build_membership(cursor, i: int) -> int:
+    """``member_i``: every (category, value, fact) with the fact
+    characterized by the value — a direct pair lifted through the
+    closure to each ancestor, tagged with the ancestor's category.
+    Filtered on one category it is α's grouping relation; the covering
+    index answers that filter per fact without touching the table."""
+    cursor.execute(
+        f"CREATE TABLE member_{i} AS "
+        f"SELECT DISTINCT cat.category AS category, "
+        f"c.ancestor AS value_id, b.fact_id AS fact_id "
+        f"FROM bridgev_{i} b "
+        f"JOIN closure_{i} c ON c.child = b.value_id "
+        f"JOIN cat_{i} cat ON cat.value_id = c.ancestor")
+    _index(cursor, f"member_{i}", ("category", "fact_id", "value_id"))
+    (count,) = cursor.execute(
+        f"SELECT COUNT(*) FROM member_{i}").fetchone()
+    return int(count)
 
 
 def _closure_rows(cursor, i: int,
@@ -166,9 +207,12 @@ def load_star(star: StarSchema, mo: MultidimensionalObject,
             _create(cursor, f"bridgef_{i}", ("fact_id",))
             n_rows += _insert_rows(cursor, f"bridgef_{i}", ("fact_id",),
                                    [(f,) for f in facts])
+            _index(cursor, f"bridgef_{i}", ("fact_id",))
             _create(cursor, f"bridgev_{i}", ("fact_id", "value_id"))
             n_rows += _insert_rows(cursor, f"bridgev_{i}",
                                    ("fact_id", "value_id"), pairs)
+            _index(cursor, f"bridgev_{i}", ("fact_id",))
+            _index(cursor, f"bridgev_{i}", ("value_id",))
 
             dim_table = star.dimension_tables[dim]
             cats = sorted({(row["value_id"], row["category"])
@@ -176,6 +220,8 @@ def load_star(star: StarSchema, mo: MultidimensionalObject,
             _create(cursor, f"cat_{i}", ("value_id", "category"))
             n_rows += _insert_rows(cursor, f"cat_{i}",
                                    ("value_id", "category"), cats)
+            # before the member_i build, which probes it per closure row
+            _index(cursor, f"cat_{i}", ("value_id", "category"))
 
             nums = []
             for value in sorted(mo.dimension(dim).values(), key=repr):
@@ -187,21 +233,20 @@ def load_star(star: StarSchema, mo: MultidimensionalObject,
             _create(cursor, f"val_{i}", ("value_id", "num"))
             n_rows += _insert_rows(cursor, f"val_{i}",
                                    ("value_id", "num"), nums)
+            _index(cursor, f"val_{i}", ("value_id",))
 
             hier_name = f"hier_{dim}" if f"hier_{dim}" in tables else None
             closure = _closure_rows(cursor, i, hier_name)
             _create(cursor, f"closure_{i}", ("child", "ancestor"))
             n_rows += _insert_rows(cursor, f"closure_{i}",
                                    ("child", "ancestor"), closure)
-            for column in ("child", "ancestor"):
-                cursor.execute(
-                    f"CREATE INDEX idx_closure_{i}_{column} "
-                    f"ON closure_{i} ({column})")
-            cursor.execute(f"CREATE INDEX idx_bridgev_{i}_fact "
-                           f"ON bridgev_{i} (fact_id)")
-            cursor.execute(f"CREATE INDEX idx_bridgev_{i}_value "
-                           f"ON bridgev_{i} (value_id)")
+            _index(cursor, f"closure_{i}", ("child",))
+            _index(cursor, f"closure_{i}", ("ancestor",))
 
+            n_rows += _build_membership(cursor, i)
+
+        _index(cursor, "fact", ("fact_id",))
+        cursor.execute("ANALYZE")
         conn.commit()
         value_maps = {
             dim: {encode_sid(v.sid): v

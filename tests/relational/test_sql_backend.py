@@ -2,6 +2,8 @@
 equivalence with the in-memory engine, fallback behavior, staleness,
 and the analyzer/observability integration."""
 
+from itertools import product
+
 import pytest
 
 from repro.algebra import characterized_by, value_in_category
@@ -222,25 +224,52 @@ class TestExplain:
         assert "-- α[" in text
 
 
+def _link_new_diagnosis(mo):
+    new = DimensionValue(sid=12345)
+    mo.dimension("Diagnosis").add_value("Low-level Diagnosis", new)
+    mo.relate(patient_fact(1), "Diagnosis", new)
+
+
+def _relink_age(mo):
+    """Move patient 2 (the one with low-level diagnoses) to another
+    existing Age: the grouping rows stay, only the per-fact measure
+    stats change."""
+    patient = patient_fact(2)
+    (old,) = mo.relation("Age").values_of(patient)
+    new = next(v for v in sorted(mo.dimension("Age").category("Age")
+                                 .members(), key=lambda v: v.sid)
+               if v != old)
+    mo.relation("Age").remove_fact(patient)
+    mo.relate(patient, "Age", new)
+
+
 class TestStaleness:
-    def test_mutation_triggers_reload(self, mo):
-        backend = sql_backend_for(mo)
-        q = Query(mo).rollup("Diagnosis", "Low-level Diagnosis")
-        before = q.execute(check=False, backend="sql", cache=False)
-        assert not backend.stale
+    def test_mutation_triggers_reload(self):
+        """A mutation reloads the star, and the per-load measure stats
+        leave with the stale star (the ``Sum`` input)."""
+        for function, mutate in ((SetCount(), _link_new_diagnosis),
+                                 (Sum("Age"), _relink_age)):
+            mo = case_study_mo(temporal=False)
+            backend = sql_backend_for(mo)
+            q = Query(mo).rollup("Diagnosis", "Low-level Diagnosis")
+            fallback = metrics.counter("sql.pushdown.fallback")
+            fell_back = fallback.value
+            before = q.execute(function, check=False, backend="sql",
+                               cache=False)
+            assert not backend.stale
 
-        loads = metrics.counter("sql.backend.loads")
-        loaded_count = loads.value
-        new = DimensionValue(sid=12345)
-        mo.dimension("Diagnosis").add_value("Low-level Diagnosis", new)
-        mo.relate(patient_fact(1), "Diagnosis", new)
-        assert backend.stale
+            loads = metrics.counter("sql.backend.loads")
+            loaded_count = loads.value
+            mutate(mo)
+            assert backend.stale
 
-        after_sql = q.execute(check=False, backend="sql", cache=False)
-        after_mem = q.execute(check=False, cache=False)
-        assert after_sql == after_mem
-        assert after_sql != before
-        assert loads.value == loaded_count + 1
+            after_sql = q.execute(function, check=False, backend="sql",
+                                  cache=False)
+            after_mem = q.execute(function, check=False, cache=False)
+            assert after_sql == after_mem, function.name
+            assert after_sql != before, function.name
+            assert loads.value == loaded_count + 1, function.name
+            assert fallback.value == fell_back, function.name
 
     def test_backend_cache_is_per_mo(self, mo):
         other = case_study_mo(temporal=False)
@@ -277,6 +306,73 @@ class TestStaleness:
         rows = (Query(keep).rollup("Diagnosis", "Diagnosis Family")
                 .execute(backend="sql", cache=False))
         assert rows == expected
+
+
+class TestPlanShape:
+    """Every compiled statement stays linear in the star: no automatic
+    index built per statement, no table scanned once per outer row.
+    sqlite-specific — it reads sqlite's ``EXPLAIN QUERY PLAN`` tree."""
+
+    GROUPINGS = [
+        (),
+        (("Diagnosis", "Diagnosis Family"),),
+        (("Diagnosis", "Diagnosis Group"), ("Residence", "Region")),
+        (("Age", "Age"), ("Diagnosis", "Low-level Diagnosis")),
+    ]
+
+    @staticmethod
+    def _flagged(conn, sql, params):
+        """Plan lines building an ``AUTOMATIC`` index, or running a
+        ``SCAN`` at or under a ``CORRELATED`` subquery."""
+        plan = conn.execute("EXPLAIN QUERY PLAN " + sql, params).fetchall()
+        detail = {node: text for node, _up, _unused, text in plan}
+        parent = {node: up for node, up, _unused, _text in plan}
+        flagged = []
+        for node, text in detail.items():
+            chain = []
+            while node in detail:
+                chain.append(detail[node])
+                node = parent[node]
+            correlated = any("CORRELATED" in line for line in chain)
+            if "AUTOMATIC" in text or \
+                    (text.startswith("SCAN") and correlated):
+                flagged.append(text)
+        return flagged
+
+    def test_no_automatic_index_or_correlated_scan(self, small_clinical):
+        mo = small_clinical.mo
+        residence = mo.dimension("Residence")
+        county = sorted(residence.category("County").members(),
+                        key=repr)[0]
+        region = next(v for v in residence.ancestors(county)
+                      if residence.category_name_of(v) == "Region")
+        dices = [(), (region,), (county,), (county, region)]
+        backend = SqlBackend(mo)
+        try:
+            conn = backend.ensure_loaded().conn
+            statements = []
+            for grouping, dice, function in product(
+                    self.GROUPINGS, dices, (SetCount(), Sum("Age"))):
+                q = Query(mo)
+                for name, category in grouping:
+                    q = q.rollup(name, category)
+                for value in dice:
+                    q = q.dice("Residence", value)
+                compiled = backend.compile(q.to_plan(function))
+                statements.append((compiled.sql, compiled.params))
+                agg = compiled.aggregate
+                if agg.measure_sql:
+                    statements.append((agg.measure_sql,
+                                       agg.measure_params))
+            assert len(statements) == 48  # 32 α + 16 measure statements
+            flagged = {}
+            for sql, params in statements:
+                lines = self._flagged(conn, sql, params)
+                if lines:
+                    flagged[sql] = lines
+        finally:
+            backend.close()
+        assert not flagged
 
 
 class TestEngines:

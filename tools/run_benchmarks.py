@@ -33,9 +33,14 @@ root (see ``docs/PERFORMANCE.md`` for how to read it):
   SQL backend (star export loaded into sqlite once, then queried warm)
   versus the in-memory engine; ``load_seconds`` records the one-time
   export+load cost, ``relative`` is sql/memory ops (no ``speedup``
-  key — the SQL backend trades steady-state throughput for pushdown,
-  it is not expected to win in-process).  The cell refuses to report
-  if the two paths' rows differ or if any query fell back.
+  key: the memory side answers this query from the rollup index's
+  cached maps, so the ratio measures the relational round trip, not a
+  race).  The load indexes every probed column and builds each
+  dimension's category membership, so a warm query's cost grows
+  linearly with the facts; CI runs this cell alone at 1000 and 10000
+  patients (``--only sql_pushdown``) and gates the ops/sec ratio
+  between them.  The cell refuses to report if the two paths' rows
+  differ or if any query fell back.
 * ``query_result_cache`` — the same roll-up answered hot from the
   versioned result cache (canonical plan fingerprint + mutation-counter
   version vector) versus cold with ``cache=False`` (the uncached
@@ -57,7 +62,8 @@ root (see ``docs/PERFORMANCE.md`` for how to read it):
   with real cores — ``environment.cpu_count`` records what was
   available.  Use ``--only sharded_aggregate`` to run this cell alone
   (skipping the full-lattice agreement oracle, which is what makes
-  ``--scale 10000`` tractable).
+  ``--scale 10000`` tractable); ``--only sql_pushdown`` does the same
+  for the SQL cell.
 
 Each cell reports steady-state ops/sec (the index is built once, then
 reused — the intended usage pattern); ``build`` records the one-time
@@ -559,6 +565,11 @@ def check_agreement(mo) -> None:
     assert compared > 0
 
 
+#: cells ``--only`` can run alone, each gated on its own agreement check
+ONLY_CELLS = {"sharded_aggregate": sharded_aggregate_cell,
+              "sql_pushdown": sql_pushdown_cell}
+
+
 def bench_scale(n_patients: int, min_seconds: float,
                 only: str = None) -> dict:
     generated = workload(n_patients)
@@ -570,11 +581,11 @@ def bench_scale(n_patients: int, min_seconds: float,
     build_seconds = time.perf_counter() - t0
     cell = {"n_patients": n_patients, "n_facts": len(mo.facts),
             "index_build_seconds": round(build_seconds, 6)}
-    if only == "sharded_aggregate":
-        # the cell carries its own agreement gate; the full-lattice
-        # oracle in check_agreement is what makes large scales slow
-        cell["sharded_aggregate"] = sharded_aggregate_cell(mo,
-                                                           min_seconds)
+    if only is not None:
+        # each --only cell carries its own agreement gate; the
+        # full-lattice oracle in check_agreement is what makes large
+        # scales slow
+        cell[only] = ONLY_CELLS[only](mo, min_seconds)
         return cell
     check_agreement(mo)
     for bench, naive_op, indexed_op in (
@@ -669,9 +680,9 @@ def main(argv=None) -> int:
                              "(repeatable; default: all of "
                              f"{', '.join(map(str, SCALES))})")
     parser.add_argument("--only", metavar="CELL",
-                        choices=("sharded_aggregate",),
-                        help="run a single cell per scale (currently: "
-                             "sharded_aggregate), skipping the "
+                        choices=tuple(ONLY_CELLS),
+                        help="run a single cell per scale (one of: "
+                             f"{', '.join(ONLY_CELLS)}), skipping the "
                              "full-lattice agreement oracle — intended "
                              "for large --scale runs")
     parser.add_argument("--output", type=Path,
@@ -715,7 +726,7 @@ def main(argv=None) -> int:
     }
     args.output.write_text(json.dumps(payload, indent=2) + "\n")
     summary = payload["largest_scale_speedups"] or \
-        largest.get("sharded_aggregate", {})
+        largest.get(args.only, {})
     print(json.dumps(summary, indent=2))
     print(f"wrote {args.output}")
     return 0
