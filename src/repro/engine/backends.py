@@ -16,16 +16,18 @@ The protocol splits a backend's answer into three hooks:
   answer the plan *exactly*, otherwise the analyzer
   :class:`~repro.analyze.diagnostics.Diagnostic` naming why not;
 * :meth:`ExecutionBackend.run` — produce the rows (and the
-  ``explain().path`` label), appending per-step timings when asked.
+  ``explain().path`` label).  The trace spans ``run`` opens become
+  the call's explain steps.
 
 :func:`dispatch` is the one driver above every backend: it asks
 ``supports`` first and, on a refusal, either falls through to the
 backend's declared :attr:`~ExecutionBackend.fallback` (recording a
-``<name>-fallback`` explain step and bumping the backend's fallback
-counter — the SQL backend's ``PushdownUnsupported`` fallback is this
-mechanism) or raises :class:`BackendRefused` carrying the diagnostic.
-The result cache, ``check=``, and explain plumbing stay in
-:class:`~repro.engine.query.Query`, once, above all backends.
+``backends.fallback`` span with the diagnostic and bumping the
+backend's fallback counter — the SQL backend's ``PushdownUnsupported``
+fallback is this mechanism) or raises :class:`BackendRefused` carrying
+the diagnostic.  The result cache, ``check=``, and the call's
+``query.execute`` root span stay in :class:`~repro.engine.query.Query`,
+once, above all backends.
 
 Registering a backend::
 
@@ -34,7 +36,7 @@ Registering a backend::
     class MyBackend(ExecutionBackend):
         name = "mine"
 
-        def run(self, query, plan, function, strict_types, steps):
+        def run(self, query, plan, function, strict_types):
             ...
             return rows, self.name
 
@@ -49,7 +51,6 @@ from __future__ import annotations
 
 import importlib
 import threading
-import time
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
 
 from repro.algebra.functions import AggregationFunction
@@ -57,7 +58,7 @@ from repro.obs import metrics, trace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.analyze.diagnostics import Diagnostic
-    from repro.engine.query import ExplainStep, Query, QueryResultRow
+    from repro.engine.query import Query, QueryResultRow
 
 __all__ = [
     "BackendRefused",
@@ -82,7 +83,7 @@ class BackendRefused(Exception):
     finding :func:`repro.analyze.analyze_shardability` predicts.  Only
     surfaces to callers when the refusing backend declares no
     :attr:`~ExecutionBackend.fallback`; backends with one fall through
-    silently (counted, and visible as an explain step).
+    silently (counted, and visible as a ``backends.fallback`` span).
     """
 
     def __init__(self, diagnostic: "Diagnostic") -> None:
@@ -126,7 +127,6 @@ class ExecutionBackend:
 
     def run(self, query: "Query", plan,
             function: AggregationFunction, strict_types: bool,
-            steps: Optional[List["ExplainStep"]],
             ) -> Tuple[List["QueryResultRow"], str]:
         """Answer the query: ``(rows, path label)``.  May raise
         :class:`BackendRefused` as a runtime backstop for conditions
@@ -206,7 +206,6 @@ def resolve_backend(
 
 def dispatch(query: "Query", backend: ExecutionBackend,
              function: AggregationFunction, strict_types: bool,
-             steps: Optional[List["ExplainStep"]],
              ) -> Tuple[List["QueryResultRow"], str]:
     """Run one backend with the generic refusal → fallback protocol.
 
@@ -214,30 +213,26 @@ def dispatch(query: "Query", backend: ExecutionBackend,
     :class:`BackendRefused` raised from ``run`` as a runtime backstop)
     either falls through to the backend's declared fallback — counting
     it on the backend's :attr:`~ExecutionBackend.fallback_counter` and
-    recording a ``<name>-fallback`` explain step with the diagnostic —
-    or propagates as :class:`BackendRefused`.
+    recording a ``backends.fallback`` span with the diagnostic — or
+    propagates as :class:`BackendRefused`.
     """
     plan = backend.plan_for(query, function, strict_types)
-    t0 = time.perf_counter()
     refusal = backend.supports(query, plan)
     if refusal is None:
         try:
-            return backend.run(query, plan, function, strict_types, steps)
+            return backend.run(query, plan, function, strict_types)
         except BackendRefused as exc:
             refusal = exc.diagnostic
     if backend.fallback is None:
         raise BackendRefused(refusal)
     metrics.counter(backend.fallback_counter).inc()
-    if steps is not None:
-        from repro.engine.query import ExplainStep
-        steps.append(ExplainStep(
-            name=f"{backend.name}-fallback",
-            detail=f"{refusal.code} at {refusal.location}: "
-                   f"{refusal.message}",
-            elapsed_seconds=time.perf_counter() - t0,
-            facts_in=0, facts_out=0))
+    # a marker: the refused attempt's own spans hold its time
+    with trace.span("backends.fallback", backend=backend.name,
+                    detail=f"{refusal.code} at {refusal.location}: "
+                           f"{refusal.message}"):
+        pass
     return dispatch(query, backend_named(backend.fallback),
-                    function, strict_types, steps)
+                    function, strict_types)
 
 
 class MemoryBackend(ExecutionBackend):
@@ -251,9 +246,8 @@ class MemoryBackend(ExecutionBackend):
 
     def run(self, query: "Query", plan,
             function: AggregationFunction, strict_types: bool,
-            steps: Optional[List["ExplainStep"]],
             ) -> Tuple[List["QueryResultRow"], str]:
-        return query._run(function, strict_types, steps)
+        return query._run(function, strict_types)
 
 
 class SqlExecutionBackend(ExecutionBackend):
@@ -262,17 +256,17 @@ class SqlExecutionBackend(ExecutionBackend):
     stashing the compilation for :meth:`run` — and converts
     :class:`~repro.relational.backend.PushdownUnsupported` into the
     MD05x refusal diagnostic, which :func:`dispatch` turns into the
-    ``sql-fallback`` explain step and ``sql.pushdown.fallback`` count
-    the bespoke ``Query._run_sql`` used to produce."""
+    ``backends.fallback`` span and ``sql.pushdown.fallback`` count;
+    the relational backend's own ``sql.*`` spans are the steps."""
 
     name = "sql"
     fallback = "memory"
     fallback_counter = "sql.pushdown.fallback"
 
     def __init__(self) -> None:
-        # id(plan) → (sql backend, compiled plan, compile seconds);
-        # written by supports(), popped by run() on the same plan object
-        # within one dispatch — entries never outlive a dispatch.
+        # id(plan) → (sql backend, compiled plan); written by
+        # supports(), popped by run() on the same plan object within
+        # one dispatch — entries never outlive a dispatch.
         self._compiled: Dict[int, tuple] = {}
 
     def plan_for(self, query: "Query", function: AggregationFunction,
@@ -280,13 +274,12 @@ class SqlExecutionBackend(ExecutionBackend):
         return query.to_plan(function, strict_types)
 
     def _compile(self, query: "Query", plan):
-        """``(backend, compiled, seconds)`` or the refusal diagnostic."""
+        """``(backend, compiled)`` or the refusal diagnostic."""
         from repro.relational.backend import (
             PushdownUnsupported,
             sql_backend_for,
         )
         backend = sql_backend_for(query._mo)
-        t0 = time.perf_counter()
         try:
             compiled = backend.compile(plan)
         except PushdownUnsupported as exc:
@@ -294,7 +287,7 @@ class SqlExecutionBackend(ExecutionBackend):
             severity, _meaning = CATALOG[exc.code]
             return Diagnostic(code=exc.code, severity=severity,
                               message=exc.reason, location=exc.location)
-        return (backend, compiled, time.perf_counter() - t0)
+        return (backend, compiled)
 
     def supports(self, query: "Query", plan) -> Optional["Diagnostic"]:
         outcome = self._compile(query, plan)
@@ -305,36 +298,16 @@ class SqlExecutionBackend(ExecutionBackend):
 
     def run(self, query: "Query", plan,
             function: AggregationFunction, strict_types: bool,
-            steps: Optional[List["ExplainStep"]],
             ) -> Tuple[List["QueryResultRow"], str]:
-        from repro.engine.query import ExplainStep
         entry = self._compiled.pop(id(plan), None)
         if entry is None:  # run() without a prior supports() pass
             entry = self._compile(query, plan)
             if not isinstance(entry, tuple):
                 raise BackendRefused(entry)
-        backend, compiled, compile_elapsed = entry
-        with trace.span("query.execute",
-                        grouping=tuple(sorted(query._grouping)),
-                        n_dices=len(query._dices),
-                        function=function.name, backend="sql"):
-            if steps is not None:
-                for node in compiled.nodes:
-                    steps.append(ExplainStep(
-                        name=f"sql[{node.label}]", detail=node.sql,
-                        elapsed_seconds=0.0, facts_in=0, facts_out=0))
-                steps[-len(compiled.nodes)].elapsed_seconds = \
-                    compile_elapsed
-            t1 = time.perf_counter()
-            rows = backend.run_rows(compiled)
-            _PATH_SQL.inc()
-            if steps is not None:
-                steps.append(ExplainStep(
-                    name="sql-execute",
-                    detail=f"engine={backend.engine}",
-                    elapsed_seconds=time.perf_counter() - t1,
-                    facts_in=len(query._mo.facts), facts_out=len(rows)))
-            return rows, "sql"
+        backend, compiled = entry
+        rows = backend.run_rows(compiled)
+        _PATH_SQL.inc()
+        return rows, "sql"
 
 
 register_backend(MemoryBackend())

@@ -39,9 +39,8 @@ Equivalence of optimized and naive plans is property-tested in
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.algebra import (
     aggregate,
@@ -149,28 +148,36 @@ Plan = Union[Base, SelectNode, ProjectNode, RenameNode, UnionNode,
 
 
 def evaluate(plan: Plan) -> MultidimensionalObject:
-    """Evaluate a plan bottom-up with the algebra's operators."""
-    if isinstance(plan, Base):
-        return plan.mo
-    if isinstance(plan, SelectNode):
-        return select(evaluate(plan.child), plan.predicate)
-    if isinstance(plan, ProjectNode):
-        return project(evaluate(plan.child), list(plan.dimensions))
-    if isinstance(plan, RenameNode):
-        return rename(evaluate(plan.child), plan.new_fact_type,
-                      dict(plan.dimension_map))
-    if isinstance(plan, UnionNode):
-        return union(evaluate(plan.left), evaluate(plan.right))
-    if isinstance(plan, DifferenceNode):
-        return difference(evaluate(plan.left), evaluate(plan.right))
-    if isinstance(plan, JoinNode):
-        return identity_join(evaluate(plan.left), evaluate(plan.right),
-                             plan.predicate)
-    if isinstance(plan, AggregateNode):
-        return aggregate(evaluate(plan.child), plan.function,
-                         dict(plan.grouping), plan.result,
-                         strict_types=plan.strict_types)
-    raise TypeError(f"unknown plan node {plan!r}")
+    """Evaluate a plan bottom-up with the algebra's operators.
+
+    Each node is one ``optimizer.node`` trace span holding the node and
+    its output fact count."""
+    with trace.span("optimizer.node") as span:
+        if isinstance(plan, Base):
+            mo = plan.mo
+        elif isinstance(plan, SelectNode):
+            mo = select(evaluate(plan.child), plan.predicate)
+        elif isinstance(plan, ProjectNode):
+            mo = project(evaluate(plan.child), list(plan.dimensions))
+        elif isinstance(plan, RenameNode):
+            mo = rename(evaluate(plan.child), plan.new_fact_type,
+                        dict(plan.dimension_map))
+        elif isinstance(plan, UnionNode):
+            mo = union(evaluate(plan.left), evaluate(plan.right))
+        elif isinstance(plan, DifferenceNode):
+            mo = difference(evaluate(plan.left), evaluate(plan.right))
+        elif isinstance(plan, JoinNode):
+            mo = identity_join(evaluate(plan.left), evaluate(plan.right),
+                               plan.predicate)
+        elif isinstance(plan, AggregateNode):
+            mo = aggregate(evaluate(plan.child), plan.function,
+                           dict(plan.grouping), plan.result,
+                           strict_types=plan.strict_types)
+        else:
+            raise TypeError(f"unknown plan node {plan!r}")
+        if span:
+            span.set(node=plan, facts_out=len(mo.facts))
+    return mo
 
 
 def optimize(plan: Plan) -> Plan:
@@ -341,53 +348,29 @@ def explain_analyze(plan: Plan) -> AnalyzedPlan:
     wall time and in/out fact counts — the plan-level counterpart of
     :meth:`repro.engine.query.Query.explain`.
 
-    The evaluation is the real one (same operators as
-    :func:`evaluate`); the returned :class:`AnalyzedPlan` carries the
-    result MO, so analyzing costs one evaluation, not two.
+    The evaluation is :func:`evaluate` itself, under a trace collector:
+    the tree is built from its ``optimizer.node`` spans, and the
+    returned :class:`AnalyzedPlan` carries the result MO, so analyzing
+    costs one evaluation, not two.
     """
+    with trace.collect() as records:
+        mo = evaluate(plan)
+    children: Dict[int, List[int]] = {}
+    for index, record in enumerate(records):
+        if record.name == "optimizer.node":
+            children[index] = []
+            if record.parent_index is not None:
+                children[record.parent_index].append(index)
 
-    def rec(node: Plan) -> Tuple[AnalyzedNode, MultidimensionalObject]:
-        t0 = time.perf_counter()
-        if isinstance(node, Base):
-            mo = node.mo
-            analyzed = AnalyzedNode(
-                label=node_label(node),
-                elapsed_seconds=time.perf_counter() - t0,
-                facts_in=len(mo.facts), facts_out=len(mo.facts))
-            return analyzed, mo
-        analyzed_children = []
-        child_mos = []
-        for child in children_of(node):
-            analyzed_child, child_mo = rec(child)
-            analyzed_children.append(analyzed_child)
-            child_mos.append(child_mo)
-        if isinstance(node, SelectNode):
-            mo = select(child_mos[0], node.predicate)
-        elif isinstance(node, ProjectNode):
-            mo = project(child_mos[0], list(node.dimensions))
-        elif isinstance(node, RenameNode):
-            mo = rename(child_mos[0], node.new_fact_type,
-                        dict(node.dimension_map))
-        elif isinstance(node, UnionNode):
-            mo = union(child_mos[0], child_mos[1])
-        elif isinstance(node, DifferenceNode):
-            mo = difference(child_mos[0], child_mos[1])
-        elif isinstance(node, JoinNode):
-            mo = identity_join(child_mos[0], child_mos[1], node.predicate)
-        elif isinstance(node, AggregateNode):
-            mo = aggregate(child_mos[0], node.function,
-                           dict(node.grouping), node.result,
-                           strict_types=node.strict_types)
-        else:
-            raise TypeError(f"unknown plan node {node!r}")
-        analyzed = AnalyzedNode(
-            label=node_label(node),
-            elapsed_seconds=time.perf_counter() - t0,
-            facts_in=sum(c.facts_out for c in analyzed_children),
-            facts_out=len(mo.facts),
-            children=tuple(analyzed_children))
-        return analyzed, mo
+    def build(index: int) -> AnalyzedNode:
+        attributes = records[index].attributes
+        kids = tuple(build(child) for child in children[index])
+        facts_out = attributes["facts_out"]
+        return AnalyzedNode(
+            label=node_label(attributes["node"]),
+            elapsed_seconds=records[index].elapsed_seconds,
+            facts_in=sum(k.facts_out for k in kids) if kids else facts_out,
+            facts_out=facts_out,
+            children=kids)
 
-    with trace.span("optimizer.explain_analyze"):
-        root, mo = rec(plan)
-    return AnalyzedPlan(root=root, mo=mo)
+    return AnalyzedPlan(root=build(0), mo=mo)

@@ -123,6 +123,7 @@ _CACHE_BYPASS = metrics.counter("query.cache.bypass")
 class ExplainStep:
     """One evaluated step of a query, annotated with its measurements.
 
+    A step is a span directly under the call's ``query.execute`` root.
     ``facts_in`` is how many base facts the step had to look at (0 when
     it answered purely from stored results), ``facts_out`` how many
     facts/rows it produced.
@@ -135,22 +136,41 @@ class ExplainStep:
     detail: str = ""
 
     def render(self) -> str:
-        """One line: name, fact flow, elapsed, detail."""
+        """One line: name, fact flow (when any), elapsed, detail."""
+        flow = (f"  facts {self.facts_in} -> {self.facts_out}"
+                if self.facts_in or self.facts_out else "")
         extra = f"  ({self.detail})" if self.detail else ""
-        return (f"{self.name}  facts {self.facts_in} -> {self.facts_out}"
-                f"  {self.elapsed_seconds * 1e3:.3f}ms{extra}")
+        return (f"{self.name}{flow}  {self.elapsed_seconds * 1e3:.3f}ms"
+                f"{extra}")
+
+
+def _step_of(record: trace.SpanRecord) -> ExplainStep:
+    """A span as a step: its ``detail``, else its other attributes."""
+    attrs = record.attributes
+    detail = attrs.get("detail") or ", ".join(
+        f"{key}={value}" for key, value in attrs.items()
+        if key not in ("facts_in", "facts_out"))
+    return ExplainStep(name=record.name,
+                       elapsed_seconds=record.elapsed_seconds,
+                       facts_in=attrs.get("facts_in", 0),
+                       facts_out=attrs.get("facts_out", 0),
+                       detail=detail)
 
 
 @dataclass
 class QueryExplain:
     """The EXPLAIN ANALYZE view of one executed query: the answer path
-    taken (``store`` / ``index`` / ``alpha``), per-step timings and
-    fact counts, and the rows themselves (the query *was* executed —
-    this is analysis, not estimation)."""
+    taken (``cache`` / ``store`` / ``index`` / ``alpha`` / ``sql`` /
+    ``sharded``), per-step timings and fact counts, and the rows
+    themselves (the query *was* executed — this is analysis, not
+    estimation)."""
 
     path: str
     rows: List[QueryResultRow]
     steps: List[ExplainStep] = field(default_factory=list)
+    #: every span the call recorded, in start order; the first is its
+    #: ``query.execute`` root, the steps are that root's children
+    spans: List[trace.SpanRecord] = field(default_factory=list)
 
     @property
     def total_seconds(self) -> float:
@@ -158,12 +178,16 @@ class QueryExplain:
         return sum(step.elapsed_seconds for step in self.steps)
 
     def render(self) -> str:
-        """A text block: header plus one indented line per step."""
+        """A text block: header plus the span tree below the root, one
+        line per span, indented by depth."""
         lines = [
             f"Query path={self.path} rows={len(self.rows)} "
             f"total={self.total_seconds * 1e3:.3f}ms"
         ]
-        lines.extend("  " + step.render() for step in self.steps)
+        if self.spans:
+            root, *below = self.spans
+            lines.extend("  " * (record.depth - root.depth)
+                         + _step_of(record).render() for record in below)
         return "\n".join(lines)
 
 
@@ -220,9 +244,17 @@ class Query:
                              for d, v in self._dices])
 
     def _diced_mo(self) -> MultidimensionalObject:
+        """The diced MO (a ``query.dice`` span), or the MO itself."""
         if not self._dices:
             return self._mo
-        return select(self._mo, self._dice_predicate())
+        with trace.span("query.dice") as span:
+            mo = select(self._mo, self._dice_predicate())
+            if span:
+                span.set(detail=", ".join(f"{d}={v!r}"
+                                          for d, v in self._dices),
+                         facts_in=len(self._mo.facts),
+                         facts_out=len(mo.facts))
+        return mo
 
     def to_plan(self, function: Optional[AggregationFunction] = None,
                 strict_types: bool = False):
@@ -299,37 +331,47 @@ class Query:
         runtime operators raise instead.
         """
         resolved = resolve_backend(backend)
-        if check:
-            report = self.check(function, strict_types)
-            if report.has_errors:
-                from repro.core.errors import StaticAnalysisError
-                raise StaticAnalysisError(
-                    "query rejected by static analysis:\n" + report.render(),
-                    diagnostics=report.errors)
-        rows, _ = self._answer(function or SetCount(), strict_types,
-                               None, resolved, cache)
+        function = function or SetCount()
+        with trace.span("query.execute") as root:
+            if root:
+                root.set(grouping=tuple(sorted(self._grouping)),
+                         n_dices=len(self._dices), function=function.name)
+            if check:
+                with trace.span("query.check") as span:
+                    report = self.check(function, strict_types)
+                    if span:
+                        span.set(detail=", ".join(report.codes()) or "clean")
+                if report.has_errors:
+                    from repro.core.errors import StaticAnalysisError
+                    raise StaticAnalysisError(
+                        "query rejected by static analysis:\n"
+                        + report.render(),
+                        diagnostics=report.errors)
+            rows, path = self._answer(function, strict_types, resolved,
+                                      cache)
+            if root:
+                root.set(path=path, facts_out=len(rows))
         return rows
 
     def explain(self, function: Optional[AggregationFunction] = None,
                 strict_types: bool = False,
                 backend: Union[str, ExecutionBackend] = "memory",
                 cache: bool = True) -> QueryExplain:
-        """Execute the query and report *how* it was answered: the path
-        taken (``cache`` / ``store`` / ``index`` / ``alpha`` / ``sql``
-        / ``sharded``), and per-step elapsed time and in/out fact
-        counts — the engine's EXPLAIN ANALYZE.  A ``cache`` step names
-        the fingerprint and whether it hit, missed, or was bypassed by
-        an unfingerprintable construct (explicit ``cache=False`` keeps
-        the steps to the execution pipeline alone).  With
-        ``backend="sql"`` the steps include the emitted SQL per
-        compiled plan node (or the fallback reason); with
-        ``backend="sharded"`` they show the shard plan, the pool map,
-        and the merge."""
-        resolved = resolve_backend(backend)
-        steps: List[ExplainStep] = []
-        rows, path = self._answer(function or SetCount(), strict_types,
-                                  steps, resolved, cache)
-        return QueryExplain(path=path, rows=rows, steps=steps)
+        """The engine's EXPLAIN ANALYZE: run the default call,
+        :meth:`execute` with these arguments and ``check=True``, under
+        a trace collector, and report the path taken (``cache`` /
+        ``store`` / ``index`` / ``alpha`` / ``sql`` / ``sharded``) and
+        one step per span directly under the call's ``query.execute``
+        root — ``query.check``, ``query.cache`` (hit, miss or bypass,
+        with the fingerprint; none under ``cache=False``), then the
+        answering backend's spans (``docs/OBSERVABILITY.md``)."""
+        with trace.collect() as records:
+            rows = self.execute(function, strict_types, backend=backend,
+                                cache=cache)
+        return QueryExplain(
+            path=records[0].attributes["path"], rows=rows,
+            steps=[_step_of(r) for r in records if r.parent_index == 0],
+            spans=records)
 
     def _fingerprint(self, function: AggregationFunction,
                      strict_types: bool
@@ -351,7 +393,6 @@ class Query:
         self,
         function: AggregationFunction,
         strict_types: bool,
-        steps: Optional[List[ExplainStep]],
         backend: ExecutionBackend,
         cache: bool,
     ) -> Tuple[List[QueryResultRow], str]:
@@ -361,118 +402,71 @@ class Query:
         the result.  The cache key is backend-independent — every
         backend's rows are byte-identical, so an entry computed by one
         serves them all."""
-        def runner(function, strict_types, steps):
-            return dispatch(self, backend, function, strict_types, steps)
         if not cache:
             # explicit opt-out: count it, but keep the explain output
             # free of a cache step so ``explain(cache=False)`` shows
             # exactly the execution pipeline
             _CACHE_BYPASS.inc()
-            return runner(function, strict_types, steps)
-        t0 = time.perf_counter()
-        fp, reason = self._fingerprint(function, strict_types)
+            return dispatch(self, backend, function, strict_types)
+        with trace.span("query.cache") as span:
+            fp, reason = self._fingerprint(function, strict_types)
+            if fp is None:
+                _CACHE_BYPASS.inc()
+                if span:
+                    span.set(detail=f"bypass: {reason}")
+            else:
+                store = self._result_cache if self._result_cache \
+                    is not None else result_cache_module.DEFAULT_CACHE
+                versions = tuple(version_vector(mo) for mo in fp.mos)
+                hit = store.get(fp.digest, versions)
+                if span and hit is not None:
+                    span.set(detail=f"hit: fingerprint={fp.short}",
+                             facts_out=len(hit))
+                elif span:
+                    span.set(detail=f"miss: fingerprint={fp.short}, stored")
         if fp is None:
-            _CACHE_BYPASS.inc()
-            if steps is not None:
-                steps.append(ExplainStep(
-                    name="cache", detail=f"bypass: {reason}",
-                    elapsed_seconds=time.perf_counter() - t0,
-                    facts_in=0, facts_out=0))
-            return runner(function, strict_types, steps)
-        store = self._result_cache if self._result_cache is not None \
-            else result_cache_module.DEFAULT_CACHE
-        versions = tuple(version_vector(mo) for mo in fp.mos)
-        hit = store.get(fp.digest, versions)
+            return dispatch(self, backend, function, strict_types)
         if hit is not None:
-            if steps is not None:
-                steps.append(ExplainStep(
-                    name="cache",
-                    detail=f"hit: fingerprint={fp.short}",
-                    elapsed_seconds=time.perf_counter() - t0,
-                    facts_in=0, facts_out=len(hit)))
             return hit, "cache"
-        t1 = time.perf_counter()
-        rows, path = runner(function, strict_types, steps)
-        compute_seconds = time.perf_counter() - t1
+        # the recompute cost drives cache admission, not explain timing
+        t0 = time.perf_counter()
+        rows, path = dispatch(self, backend, function, strict_types)
         store.put(fp.digest, versions, tuple(sorted(self._grouping)),
-                  rows, compute_seconds)
-        if steps is not None:
-            steps.append(ExplainStep(
-                name="cache",
-                detail=f"miss: fingerprint={fp.short}, stored",
-                elapsed_seconds=t1 - t0,
-                facts_in=0, facts_out=0))
+                  rows, time.perf_counter() - t0)
         return rows, path
 
     def _run(
         self,
         function: AggregationFunction,
         strict_types: bool,
-        steps: Optional[List[ExplainStep]],
     ) -> Tuple[List[QueryResultRow], str]:
-        """The one evaluation pipeline behind :meth:`execute` and
-        :meth:`explain`: try the store, then the index fast path, then
-        the full α evaluation, recording a step per evaluated node when
-        ``steps`` is given."""
-        with trace.span("query.execute",
-                        grouping=tuple(sorted(self._grouping)),
-                        n_dices=len(self._dices), function=function.name):
-            if self._store is not None and not self._dices:
-                t0 = time.perf_counter()
-                fast = self._try_store(function)
-                if fast is not None:
-                    rows, detail = fast
-                    _PATH_STORE.inc()
-                    if steps is not None:
-                        steps.append(ExplainStep(
-                            name="store", detail=detail,
-                            elapsed_seconds=time.perf_counter() - t0,
-                            facts_in=0, facts_out=len(rows)))
-                    return rows, "store"
-            t0 = time.perf_counter()
-            indexed = self._try_index(function, strict_types)
-            if indexed is not None:
-                _PATH_INDEX.inc()
-                if steps is not None:
-                    steps.append(ExplainStep(
-                        name="index",
-                        detail="rollup-index characterization map",
-                        elapsed_seconds=time.perf_counter() - t0,
-                        facts_in=len(self._mo.facts),
-                        facts_out=len(indexed)))
-                return indexed, "index"
-            _PATH_ALPHA.inc()
-            t0 = time.perf_counter()
-            mo = self._diced_mo()
-            if steps is not None and self._dices:
-                steps.append(ExplainStep(
-                    name="dice",
-                    detail=", ".join(f"{d}={v!r}" for d, v in self._dices),
-                    elapsed_seconds=time.perf_counter() - t0,
-                    facts_in=len(self._mo.facts),
-                    facts_out=len(mo.facts)))
-            t0 = time.perf_counter()
-            rows, n_groups = self._run_alpha(mo, function, strict_types)
-            if steps is not None:
-                steps.append(ExplainStep(
-                    name="alpha",
-                    detail=f"{function.name} over "
-                           f"{dict(sorted(self._grouping.items()))}",
-                    elapsed_seconds=time.perf_counter() - t0,
-                    facts_in=len(mo.facts), facts_out=n_groups))
-            return rows, "alpha"
-
-    def _run_alpha(
-        self, mo: MultidimensionalObject, function: AggregationFunction,
-        strict_types: bool,
-    ) -> Tuple[List[QueryResultRow], int]:
-        """Full aggregate formation; returns the rows and the number of
-        groups (result facts) α produced."""
-        result = make_result_spec(name="__query_result")
-        aggregated = aggregate(mo, function, self._grouping, result,
-                               strict_types=strict_types)
-        return (_alpha_rows(aggregated, sorted(self._grouping)),
-                len(aggregated.facts))
+        """The memory backend's evaluation pipeline: try the store, then
+        the index fast path, then the full α evaluation.  The one that
+        answers records its span (``query.store``, ``query.index``, or
+        ``query.dice`` and ``query.alpha``)."""
+        if self._store is not None and not self._dices:
+            rows = self._try_store(function)
+            if rows is not None:
+                _PATH_STORE.inc()
+                return rows, "store"
+        rows = self._try_index(function, strict_types)
+        if rows is not None:
+            _PATH_INDEX.inc()
+            return rows, "index"
+        _PATH_ALPHA.inc()
+        mo = self._diced_mo()
+        with trace.span("query.alpha") as span:
+            aggregated = aggregate(
+                mo, function, self._grouping,
+                make_result_spec(name="__query_result"),
+                strict_types=strict_types)
+            rows = _alpha_rows(aggregated, sorted(self._grouping))
+            if span:
+                span.set(detail=f"{function.name} over "
+                                f"{dict(sorted(self._grouping.items()))}",
+                         facts_in=len(mo.facts),
+                         facts_out=len(aggregated.facts))
+        return rows, "alpha"
 
     def _try_index(
         self, function: AggregationFunction, strict_types: bool
@@ -491,44 +485,56 @@ class Query:
             return None
         if not function.check_applicable(self._mo, strict=strict_types):
             return None  # let α issue its summarizability warning
-        cells: List[Tuple[Tuple[DimensionValue, ...], FrozenSet[Fact]]]
-        if self._grouping:
-            (name, category), = self._grouping.items()
-            char_map = self._mo.rollup_index().characterization_map(
-                name, category)
-            cells = [((value,), facts) for value, facts in char_map.items()]
-        else:
-            cells = [((), frozenset(self._mo.facts))]
-        return _finalize_rows(sorted(self._grouping), (
-            (facts, combo, len(facts)) for combo, facts in cells if facts))
+        with trace.span("query.index") as span:
+            cells: List[Tuple[Tuple[DimensionValue, ...], FrozenSet[Fact]]]
+            if self._grouping:
+                (name, category), = self._grouping.items()
+                char_map = self._mo.rollup_index().characterization_map(
+                    name, category)
+                cells = [((value,), facts)
+                         for value, facts in char_map.items()]
+            else:
+                cells = [((), frozenset(self._mo.facts))]
+            rows = _finalize_rows(sorted(self._grouping), (
+                (facts, combo, len(facts))
+                for combo, facts in cells if facts))
+            if span:
+                span.set(detail="rollup-index characterization map",
+                         facts_in=len(self._mo.facts), facts_out=len(rows))
+        return rows
 
     def _try_store(
         self, function: AggregationFunction
-    ) -> Optional[Tuple[List[QueryResultRow], str]]:
+    ) -> Optional[List[QueryResultRow]]:
         """Answer from the pre-aggregate store if a fresh stored
-        aggregate matches exactly or combines safely; returns the rows
-        plus a human-readable description of the hit, or None."""
+        aggregate matches exactly or combines safely, timed as a
+        ``query.store`` span whose detail describes the hit; else
+        None."""
         assert self._store is not None
         for source, fname, materialized in list(self._store.entries()):
             if fname != function.name:
                 continue
             if set(source) != set(self._grouping):
                 continue
-            if source == self._grouping:
-                results, groups = materialized.results, materialized.groups
-                detail = (f"exact hit: {function.name} @ "
-                          f"{dict(sorted(source.items()))}")
-            elif self._store.can_roll_up(materialized, function,
-                                         self._grouping):
-                results, groups = self._store.rolled_up(
-                    function, source, self._grouping)
-                detail = f"rolled up from {dict(sorted(source.items()))}"
-            else:
+            exact = source == self._grouping
+            if not exact and not self._store.can_roll_up(
+                    materialized, function, self._grouping):
                 continue
-            rows = _finalize_rows(sorted(self._grouping), (
-                (frozenset(groups[combo]), combo, value)
-                for combo, value in results.items()))
-            return rows, detail
+            with trace.span("query.store") as span:
+                if exact:
+                    results, groups = materialized.results, materialized.groups
+                else:
+                    results, groups = self._store.rolled_up(
+                        function, source, self._grouping)
+                rows = _finalize_rows(sorted(self._grouping), (
+                    (frozenset(groups[combo]), combo, value)
+                    for combo, value in results.items()))
+                if span:
+                    where = dict(sorted(source.items()))
+                    span.set(detail=(f"exact hit: {function.name} @ {where}"
+                                     if exact else f"rolled up from {where}"),
+                             facts_out=len(rows))
+            return rows
         return None
 
     def counts(self) -> List[QueryResultRow]:

@@ -46,7 +46,6 @@ from __future__ import annotations
 import math
 import os
 import threading
-import time
 import warnings
 from array import array
 from collections import OrderedDict
@@ -73,11 +72,7 @@ from repro.engine.columnar import (
     _key_layout,
     _members_by_key,
 )
-from repro.engine.query import (
-    ExplainStep,
-    QueryResultRow,
-    _finalize_rows,
-)
+from repro.engine.query import QueryResultRow, _finalize_rows
 from repro.engine.result_cache import version_vector
 from repro.obs import metrics, trace
 
@@ -484,7 +479,6 @@ class ShardedBackend(ExecutionBackend):
 
     def run(self, query: "Query", plan,
             function: AggregationFunction, strict_types: bool,
-            steps: Optional[List[ExplainStep]],
             ) -> Tuple[List[QueryResultRow], str]:
         # α's applicability gate, replicated so strict mode raises (and
         # warn mode warns) exactly as the memory path would
@@ -499,30 +493,16 @@ class ShardedBackend(ExecutionBackend):
         _EXECUTES.inc()
         mode = self._mode(function)
         names = sorted(query._grouping)
-        t0 = time.perf_counter()
         mo = query._diced_mo()
-        if steps is not None and query._dices:
-            steps.append(ExplainStep(
-                name="dice",
-                detail=", ".join(f"{d}={v!r}" for d, v in query._dices),
-                elapsed_seconds=time.perf_counter() - t0,
-                facts_in=len(query._mo.facts), facts_out=len(mo.facts)))
-        with trace.span("query.execute",
-                        grouping=tuple(sorted(query._grouping)),
-                        n_dices=len(query._dices),
-                        function=function.name, backend="sharded"):
-            t0 = time.perf_counter()
+        with trace.span("sharded.plan") as span:
             payloads, decodes, hit = self._payloads(query, mo, function,
                                                     mode)
-            if steps is not None:
-                steps.append(ExplainStep(
-                    name="shard-plan",
-                    detail=f"{len(payloads)} shard(s), {mode} merge, "
-                           f"payloads {'cached' if hit else 'built'}",
-                    elapsed_seconds=time.perf_counter() - t0,
-                    facts_in=len(mo.facts),
-                    facts_out=sum(len(p.fact_ids) for p in payloads)))
-            t0 = time.perf_counter()
+            if span:
+                span.set(detail=f"{len(payloads)} shard(s), {mode} merge, "
+                                f"payloads {'cached' if hit else 'built'}",
+                         facts_in=len(mo.facts),
+                         facts_out=sum(len(p.fact_ids) for p in payloads))
+        with trace.span("sharded.map") as span:
             results: List[ShardResult] = []
             if payloads:
                 pool = _pool(min(self.n_shards, os.cpu_count() or 2))
@@ -530,24 +510,18 @@ class ShardedBackend(ExecutionBackend):
                     _SHARDS_RUN.inc()
                     _SHARD_ROWS.observe(result.n_rows)
                     results.append(result)
-            if steps is not None:
-                steps.append(ExplainStep(
-                    name="shard-map",
-                    detail=f"pool of {_POOL_WORKERS} worker(s)",
-                    elapsed_seconds=time.perf_counter() - t0,
-                    facts_in=sum(len(p.fact_ids) for p in payloads),
-                    facts_out=sum(r.n_rows for r in results)))
-            t0 = time.perf_counter()
+            if span:
+                span.set(detail=f"pool of {_POOL_WORKERS} worker(s)",
+                         facts_in=sum(len(p.fact_ids) for p in payloads),
+                         facts_out=sum(r.n_rows for r in results))
+        with trace.span("sharded.merge") as span:
             rows = _merge_rows(results, decodes, names, function, mode)
-            if steps is not None:
-                steps.append(ExplainStep(
-                    name="shard-merge",
-                    detail=f"{function.name} over "
-                           f"{dict(sorted(query._grouping.items()))}",
-                    elapsed_seconds=time.perf_counter() - t0,
-                    facts_in=sum(r.n_rows for r in results),
-                    facts_out=len(rows)))
-            return rows, "sharded"
+            if span:
+                span.set(detail=f"{function.name} over "
+                                f"{dict(sorted(query._grouping.items()))}",
+                         facts_in=sum(r.n_rows for r in results),
+                         facts_out=len(rows))
+        return rows, "sharded"
 
 
 register_backend(ShardedBackend())

@@ -1,29 +1,38 @@
-"""Nestable trace spans with a bounded ring buffer.
+"""Nestable trace spans: a bounded ring buffer and per-call collectors.
 
 ``with span("aggregate.alpha", grouping=...):`` brackets one unit of
-engine work; on exit, a :class:`SpanRecord` (name, attributes, wall
-time, nesting depth, parent) lands in a process-local ring buffer that
-:func:`spans` reads back — the raw material for ``explain``-style
-output and for understanding *where* a slow query spent its time.
+engine work as a :class:`SpanRecord` (name, attributes, wall time,
+nesting depth, parent).  A record goes to the process-local ring buffer
+while tracing is enabled (:func:`spans` reads it back), and to the list
+of the innermost :func:`collect` block open in the current context,
+whether tracing is enabled or not.  The collector is the engine's one
+timing mechanism: ``Query.explain()`` is ``Query.execute()`` under
+``collect()``, and ``optimizer.explain_analyze`` is ``evaluate()``
+under it.
 
-Tracing is **off by default** and the disabled path is a single module
-flag check returning a shared no-op context manager — cheap enough to
-leave `span(...)` calls permanently in hot layers (the benchmark gate
-in ``BENCH_aggregate.json`` runs with tracing disabled and must stay
-within 5% of the uninstrumented baseline).
+Tracing is **off by default**.  With it off and no collector open,
+``span()`` is two module-global reads returning a shared no-op context
+manager — cheap enough to leave ``span(...)`` calls permanently in hot
+layers (the benchmark gate in ``BENCH_aggregate.json`` runs with
+tracing disabled and must stay within 5% of the uninstrumented
+baseline).  The no-op span is falsy, so call sites write
+``if span: span.set(...)`` and skip formatting details nobody records.
 
 Span names follow ``<layer>.<operation>`` (dots, lowercase):
-``rollup_index.build``, ``aggregate.alpha``, ``preagg.materialize``,
-``query.execute`` — the catalogue lives in ``docs/OBSERVABILITY.md``.
+``rollup_index.build``, ``aggregate.alpha``, ``query.execute`` — the
+catalogue lives in ``docs/OBSERVABILITY.md``.
 
-Nesting is tracked per thread; the ring buffer is shared (appends are
-GIL-atomic ``deque.append`` calls), so multi-threaded callers get a
+Nesting is tracked per context, so per thread: a thread started inside
+a ``collect()`` block records nothing into it, and a nested
+``collect()`` gets its own list.  The ring buffer is shared (appends
+are GIL-atomic ``deque.append`` calls), so multi-threaded callers get a
 merged, bounded trace without locks on the hot path.  Buffer
 *management* — enabling with a resize, :func:`set_buffer_size`,
-:func:`spans`, :func:`clear` — takes a module lock so a reader never
-iterates a deque mid-swap; a span finishing concurrently with a resize
-may land in the dropped buffer, which is the documented resize
-behaviour (resizing drops recorded spans) either way.
+:func:`spans`, :func:`clear` — and the open-collector count take a
+module lock, so a reader never iterates a deque mid-swap; a span
+finishing concurrently with a resize may land in the dropped buffer,
+which is the documented resize behaviour (resizing drops recorded
+spans) either way.
 """
 
 from __future__ import annotations
@@ -31,12 +40,15 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional
+from typing import Any, Deque, Dict, Iterator, List, Optional
 
 __all__ = [
     "SpanRecord",
     "span",
+    "collect",
     "enable",
     "disable",
     "is_enabled",
@@ -50,13 +62,19 @@ DEFAULT_BUFFER_SIZE = 4096
 
 _enabled = False
 _buffer: Deque["SpanRecord"] = deque(maxlen=DEFAULT_BUFFER_SIZE)
-_stack = threading.local()
 _BUFFER_LOCK = threading.Lock()
+#: open ``collect()`` blocks in any context: while 0, ``span()`` skips
+#: the context-variable lookup
+_open_collectors = 0
+_collector: ContextVar[Optional[List["SpanRecord"]]] = ContextVar(
+    "repro_trace_collector", default=None)
+_current: ContextVar[Optional["_Span"]] = ContextVar(
+    "repro_trace_current", default=None)
 
 
 @dataclass
 class SpanRecord:
-    """One finished span, as stored in the ring buffer."""
+    """One span, as stored in the ring buffer or a :func:`collect` list."""
 
     name: str
     #: wall-clock duration, seconds (includes child spans)
@@ -65,8 +83,10 @@ class SpanRecord:
     depth: int
     #: name of the enclosing span, if any
     parent: Optional[str]
-    #: keyword attributes passed to :func:`span`
-    attributes: Dict[str, object] = field(default_factory=dict)
+    #: keyword attributes passed to :func:`span` or set while open
+    attributes: Dict[str, Any] = field(default_factory=dict)
+    #: index of the enclosing span in the same :func:`collect` list
+    parent_index: Optional[int] = None
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         attrs = f" {self.attributes}" if self.attributes else ""
@@ -75,8 +95,8 @@ class SpanRecord:
 
 
 class _NullSpan:
-    """The shared do-nothing context manager handed out when tracing is
-    disabled (no allocation, no timestamps, no buffer writes)."""
+    """The shared, falsy do-nothing span handed out when nothing
+    records (no allocation, no timestamps, no buffer writes)."""
 
     __slots__ = ()
 
@@ -86,56 +106,85 @@ class _NullSpan:
     def __exit__(self, *exc_info) -> None:
         return None
 
+    def __bool__(self) -> bool:
+        return False
+
+    def set(self, **attributes) -> None:
+        return None
+
 
 _NULL_SPAN = _NullSpan()
 
 
 class _Span:
-    """A live span: measures wall time and records itself on exit."""
+    """A live span: joins its collector on entry, measures wall time,
+    and lands in the ring buffer on exit when tracing was enabled."""
 
-    __slots__ = ("name", "attributes", "_start", "_depth", "_parent")
+    __slots__ = ("record", "_sink", "_buffered", "_index", "_parent",
+                 "_start")
 
-    def __init__(self, name: str, attributes: Dict[str, object]) -> None:
-        self.name = name
-        self.attributes = attributes
-        self._start = 0.0
-        self._depth = 0
-        self._parent: Optional[str] = None
+    def __init__(self, name: str, attributes: Dict[str, Any],
+                 sink: Optional[List[SpanRecord]]) -> None:
+        self.record = SpanRecord(name, 0.0, 0, None, attributes)
+        self._sink = sink
+        self._buffered = _enabled
+
+    def set(self, **attributes) -> None:
+        """Add or overwrite attributes before the span closes."""
+        self.record.attributes.update(attributes)
 
     def __enter__(self) -> "_Span":
-        stack: List[str] = getattr(_stack, "names", None)
-        if stack is None:
-            stack = _stack.names = []
-        self._depth = len(stack)
-        self._parent = stack[-1] if stack else None
-        stack.append(self.name)
+        record, sink = self.record, self._sink
+        parent = self._parent = _current.get()
+        if parent is not None:
+            record.depth = parent.record.depth + 1
+            record.parent = parent.record.name
+        if sink is not None:
+            if parent is not None and parent._sink is sink:
+                record.parent_index = parent._index
+            self._index = len(sink)
+            sink.append(record)
+        _current.set(self)
         self._start = time.perf_counter()
         return self
 
     def __exit__(self, *exc_info) -> None:
-        elapsed = time.perf_counter() - self._start
-        stack = getattr(_stack, "names", None)
-        if stack:
-            stack.pop()
-        _buffer.append(SpanRecord(
-            name=self.name,
-            elapsed_seconds=elapsed,
-            depth=self._depth,
-            parent=self._parent,
-            attributes=self.attributes,
-        ))
+        self.record.elapsed_seconds = time.perf_counter() - self._start
+        _current.set(self._parent)
+        if self._buffered:
+            _buffer.append(self.record)
 
 
 def span(name: str, **attributes):
     """A context manager timing one named unit of work.
 
-    When tracing is disabled (the default) this returns a shared no-op
-    object; when enabled, the finished span is appended to the ring
-    buffer with its nesting depth and parent span name.
+    With tracing disabled (the default) and no :func:`collect` block
+    open in this context, this returns a shared, falsy no-op object;
+    otherwise the span records to the collector, the ring buffer, or
+    both, with its nesting depth and parent.
     """
-    if not _enabled:
+    sink = _collector.get() if _open_collectors else None
+    if sink is None and not _enabled:
         return _NULL_SPAN
-    return _Span(name, attributes)
+    return _Span(name, attributes, sink)
+
+
+@contextmanager
+def collect() -> Iterator[List[SpanRecord]]:
+    """Collect every span opened in the current context during the
+    block, tracing enabled or not, into the yielded list: in start
+    order, each linked to its enclosing span by ``parent_index``."""
+    global _open_collectors
+    records: List[SpanRecord] = []
+    token = _collector.set(records)
+    with _BUFFER_LOCK:
+        _open_collectors += 1
+    try:
+        yield records
+    finally:
+        with _BUFFER_LOCK:
+            _open_collectors -= 1
+        _collector.reset(token)
 
 
 def enable(buffer_size: Optional[int] = None) -> None:

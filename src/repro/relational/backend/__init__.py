@@ -127,8 +127,10 @@ class SqlBackend:
         raises :class:`PushdownUnsupported` outside the subset."""
         self.ensure_loaded()
         assert self._catalog is not None
-        with trace.span("sql.compile", engine=self._engine):
+        with trace.span("sql.compile", engine=self._engine) as span:
             compiled = compile_plan(plan, self._catalog)
+            if span:
+                span.set(detail=_render_sql(compiled))
         _COMPILED.inc()
         _NODE_COMPILED.inc(len(compiled.nodes))
         return compiled
@@ -157,7 +159,8 @@ class SqlBackend:
             raise ValueError("run_rows needs a compiled root-α plan")
         loaded = self.ensure_loaded()
         agg = compiled.aggregate
-        with trace.span("sql.execute", kind="rows", engine=self._engine):
+        with trace.span("sql.execute", kind="rows",
+                        engine=self._engine) as span:
             cursor = loaded.conn.cursor()
             combo_rows = cursor.execute(
                 compiled.sql, compiled.params).fetchall()
@@ -184,7 +187,10 @@ class SqlBackend:
                     tuple(decode[value_id]
                           for decode, value_id in zip(decoders, combo)),
                     raw_result(agg.function, members, stats)))
-            return _finalize_rows(agg.names, groups)
+            rows = _finalize_rows(agg.names, groups)
+            if span:
+                span.set(facts_in=len(self._mo.facts), facts_out=len(rows))
+        return rows
 
     def run_facts(self, compiled: CompiledPlan) -> Set[Fact]:
         """Run a compiled ``"facts"`` plan and decode the fact ids."""
@@ -198,16 +204,19 @@ class SqlBackend:
 
     def explain_sql(self, plan: Plan) -> str:
         """The emitted SQL, one block per compiled plan node."""
-        compiled = self.compile(plan)
-        blocks = [f"-- {node.label}\n{node.sql}"
-                  for node in compiled.nodes]
-        return "\n".join(blocks)
+        return _render_sql(self.compile(plan))
 
     def close(self) -> None:
         if self._loaded is not None:
             self._loaded.close()
             self._loaded = None
             self._stamp = None
+
+
+def _render_sql(compiled: CompiledPlan) -> str:
+    """The emitted SQL, one ``-- <node label>`` block per plan node."""
+    return "\n".join(f"-- {node.label}\n{node.sql}"
+                     for node in compiled.nodes)
 
 
 _BACKENDS: "weakref.WeakKeyDictionary[MultidimensionalObject, Dict[str, SqlBackend]]" = \

@@ -335,3 +335,49 @@ def mo_token(mo):
             tree = ast.parse(path.read_text(encoding="utf-8"))
             assert lint_invariants.check_lock_discipline(
                 path, tree, rule) == []
+
+
+class TestClockReads:
+    PLANTED = """
+import time
+from time import perf_counter as clock
+
+
+class Query:
+    def _run(self):
+        t0 = time.perf_counter()
+        return clock() - t0
+
+    def _answer(self):
+        return time.monotonic_ns()
+"""
+
+    def _check(self, rel, source=PLANTED):
+        return lint_invariants.check_clock_reads(rel, ast.parse(source))
+
+    def test_planted_engine_clock_reads_flagged(self):
+        problems = self._check("engine/sharded.py")
+        assert len(problems) == 3
+        assert all("trace.span" in p for p in problems)
+        assert "time.perf_counter() in Query._run" in problems[0]
+        assert "clock() in Query._run" in problems[1]
+        assert "time.monotonic_ns() in Query._answer" in problems[2]
+
+    def test_allow_listed_site_not_flagged(self):
+        # engine/query.py lists Query._answer, and only that method
+        problems = self._check("engine/query.py")
+        assert len(problems) == 2
+        assert not any("Query._answer" in p for p in problems)
+
+    def test_trace_module_exempt(self):
+        assert self._check(lint_invariants.TIMING_MODULE) == []
+
+    def test_repository_passes(self):
+        src = REPO / "src" / "repro"
+        for path in sorted(src.rglob("*.py")):
+            rel = path.relative_to(src).as_posix()
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            assert lint_invariants.check_clock_reads(rel, tree) == [], rel
+        for site in lint_invariants.CLOCK_SITES:
+            text = (src / site.file).read_text(encoding="utf-8")
+            assert f"def {site.function.split('.')[-1]}(" in text, site

@@ -43,7 +43,7 @@ class TestRegistry:
         class Nameless(ExecutionBackend):
             name = ""
 
-            def run(self, query, plan, function, strict_types, steps):
+            def run(self, query, plan, function, strict_types):
                 raise AssertionError("never dispatched")
 
         with pytest.raises(ValueError, match="non-empty name"):

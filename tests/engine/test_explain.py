@@ -1,13 +1,17 @@
 """Tests for the EXPLAIN ANALYZE surfaces: ``Query.explain`` and
 ``optimizer.explain_analyze``."""
 
+import pytest
+
 from repro.algebra import SetCount, Sum, characterized_by
-from repro.casestudy import diagnosis_value
+from repro.casestudy import case_study_mo, diagnosis_value
+from repro.core.errors import StaticAnalysisError
 from repro.engine import (
     Base,
     PreAggregateStore,
     ProjectNode,
     Query,
+    ResultCache,
     SelectNode,
     evaluate,
     explain_analyze,
@@ -20,8 +24,9 @@ class TestQueryExplain:
         result = query.explain(cache=False)
         assert result.path == "index"
         assert result.rows == query.execute(cache=False)
-        (step,) = result.steps
-        assert step.name == "index"
+        assert [step.name for step in result.steps] == \
+            ["query.check", "query.index"]
+        step = result.steps[-1]
         assert step.facts_in == len(snapshot_mo.facts)
         assert step.facts_out == len(result.rows)
         assert step.elapsed_seconds >= 0.0
@@ -33,8 +38,9 @@ class TestQueryExplain:
         result = query.explain(cache=False)
         assert result.path == "alpha"
         assert result.rows == query.execute(cache=False)
-        assert [step.name for step in result.steps] == ["dice", "alpha"]
-        dice, alpha = result.steps
+        assert [step.name for step in result.steps] == \
+            ["query.check", "query.dice", "query.alpha"]
+        _check, dice, alpha = result.steps
         assert dice.facts_in == len(snapshot_mo.facts)
         # the dice output feeds α
         assert alpha.facts_in == dice.facts_out
@@ -45,9 +51,9 @@ class TestQueryExplain:
         result = query.explain(Sum("Price"), cache=False)
         assert result.path == "alpha"
         assert result.rows == query.execute(Sum("Price"), cache=False)
-        (alpha,) = result.steps
-        assert alpha.name == "alpha"
-        assert "Sum" in alpha.detail
+        assert [step.name for step in result.steps] == \
+            ["query.check", "query.alpha"]
+        assert "Sum" in result.steps[-1].detail
 
     def test_store_path_exact_hit(self, strict_clinical):
         store = PreAggregateStore(strict_clinical.mo)
@@ -57,8 +63,9 @@ class TestQueryExplain:
         result = query.explain(cache=False)
         assert result.path == "store"
         assert result.rows == query.execute(cache=False)
-        (step,) = result.steps
-        assert step.name == "store"
+        assert [step.name for step in result.steps] == \
+            ["query.check", "query.store"]
+        step = result.steps[-1]
         assert step.facts_in == 0  # never touched base facts
         assert "exact hit" in step.detail
 
@@ -70,16 +77,38 @@ class TestQueryExplain:
         result = query.explain(cache=False)
         assert result.path == "store"
         assert result.rows == query.execute(cache=False)
-        assert "rolled up from" in result.steps[0].detail
+        assert [step.name for step in result.steps] == \
+            ["query.check", "query.store"]
+        assert "rolled up from" in result.steps[-1].detail
 
-    def test_render_mentions_path_and_steps(self, snapshot_mo):
-        result = Query(snapshot_mo).rollup(
+    def test_render_mentions_path_and_steps(self):
+        # a fresh MO, so the index build is part of this call's tree
+        result = Query(case_study_mo(temporal=False)).rollup(
             "Diagnosis", "Diagnosis Group").explain(cache=False)
         text = result.render()
         first, *rest = text.splitlines()
         assert first.startswith("Query path=index rows=")
-        assert len(rest) == len(result.steps)
-        assert rest[0].lstrip().startswith("index  facts ")
+        # one line per span below the root, steps at the first indent
+        assert len(rest) == len(result.spans) - 1
+        steps = [line for line in rest if not line.startswith("   ")]
+        assert [line.split()[0] for line in steps] == \
+            ["query.check", "query.index"]
+        assert steps[1].lstrip().startswith("query.index  facts ")
+        assert any(line.startswith("    rollup_index.") for line in rest)
+
+    def test_default_call_starts_with_check(self, snapshot_mo):
+        query = Query(snapshot_mo, result_cache=ResultCache(
+            admit_factor=0.0)).rollup("Diagnosis", "Diagnosis Group")
+        result = query.explain()
+        assert [step.name for step in result.steps] == \
+            ["query.check", "query.cache", "query.index"]
+        assert result.rows == query.execute()
+
+    def test_rejected_statically_as_execute_is(self, snapshot_mo):
+        query = Query(snapshot_mo).rollup("DOB", "Year")
+        with pytest.raises(StaticAnalysisError) as excinfo:
+            query.explain(Sum("Name"), strict_types=True)
+        assert [d.code for d in excinfo.value.diagnostics] == ["MD001"]
 
     def test_total_is_sum_of_steps(self, snapshot_mo):
         result = (Query(snapshot_mo)

@@ -180,12 +180,13 @@ class TestQueryWiring:
         cache = ResultCache(admit_factor=0.0)
         q = self._query(mo, cache)
         miss = q.explain()
-        (cache_step,) = [s for s in miss.steps if s.name == "cache"]
-        assert cache_step.detail.startswith("miss: fingerprint=")
+        assert [s.name for s in miss.steps] == \
+            ["query.check", "query.cache", "query.index"]
+        assert miss.steps[1].detail.startswith("miss: fingerprint=")
         hit = q.explain()
         assert hit.path == "cache"
-        (cache_step,) = hit.steps
-        assert cache_step.detail.startswith("hit: fingerprint=")
+        assert [s.name for s in hit.steps] == ["query.check", "query.cache"]
+        assert hit.steps[1].detail.startswith("hit: fingerprint=")
         assert hit.rows == miss.rows
 
     def test_mutation_invalidates_exactly(self):
@@ -252,8 +253,9 @@ class TestQueryWiring:
         before = bypass.value
         report = q.explain(Custom())
         assert bypass.value == before + 1
-        (cache_step, *_rest) = report.steps
-        assert cache_step.name == "cache"
+        assert [s.name for s in report.steps] == \
+            ["query.check", "query.cache", "query.alpha"]
+        cache_step = report.steps[1]
         assert cache_step.detail.startswith("bypass: ")
         assert "custom" in cache_step.detail
         assert len(cache) == 0

@@ -195,7 +195,8 @@ def test_sharded_explain_path_and_steps():
     report = q.explain(Sum("Age"), backend="sharded", cache=False)
     assert report.path == "sharded"
     names = [step.name for step in report.steps]
-    assert names == ["shard-plan", "shard-map", "shard-merge"]
+    assert names == ["query.check", "sharded.plan", "sharded.map",
+                     "sharded.merge"]
     assert _canon(report.rows) == _canon(
         q.execute(Sum("Age"), check=False, cache=False))
 

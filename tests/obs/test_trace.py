@@ -97,6 +97,81 @@ class TestEnabled:
             trace.set_buffer_size(0)
 
 
+class TestCollect:
+    def test_records_while_disabled_and_skips_buffer(self):
+        with trace.collect() as records:
+            with trace.span("a", k=1):
+                pass
+        assert [r.name for r in records] == ["a"]
+        assert records[0].attributes == {"k": 1}
+        assert trace.spans() == []
+
+    def test_start_order_and_parent_index(self):
+        with trace.collect() as records:
+            with trace.span("root"):
+                with trace.span("first"):
+                    with trace.span("grandchild"):
+                        pass
+                with trace.span("second"):
+                    pass
+        assert [(r.name, r.parent_index, r.depth) for r in records] == [
+            ("root", None, 0), ("first", 0, 1), ("grandchild", 1, 2),
+            ("second", 0, 1)]
+        assert records[0].elapsed_seconds >= records[1].elapsed_seconds
+
+    def test_set_before_close(self):
+        with trace.collect() as records:
+            with trace.span("a", k=1) as span:
+                assert span
+                span.set(k=2, extra="x")
+        assert records[0].attributes == {"k": 2, "extra": "x"}
+
+    def test_set_on_null_span_does_nothing(self):
+        span = trace.span("a")
+        assert not span
+        with span:
+            span.set(k=1)
+        assert trace.spans() == []
+
+    def test_records_to_both_sinks(self):
+        trace.enable()
+        with trace.collect() as records:
+            with trace.span("a"):
+                pass
+        assert trace.spans() == records
+
+    def test_nested_collect_gets_its_own_list(self):
+        with trace.collect() as outer:
+            with trace.span("outer"):
+                with trace.collect() as inner:
+                    with trace.span("inner"):
+                        pass
+                with trace.span("after"):
+                    pass
+        assert [r.name for r in outer] == ["outer", "after"]
+        assert [(r.name, r.parent_index) for r in inner] == [
+            ("inner", None)]
+        assert trace.span("a") is trace.span("b")  # all closed again
+
+    def test_other_thread_not_collected(self):
+        import threading
+
+        seen = []
+
+        def work():
+            with trace.span("elsewhere") as span:
+                seen.append(bool(span))
+
+        with trace.collect() as records:
+            with trace.span("here"):
+                thread = threading.Thread(target=work)
+                thread.start()
+                thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert seen == [False]
+        assert [r.name for r in records] == ["here"]
+
+
 class TestThreadSafety:
     def test_concurrent_spans_all_recorded(self):
         import threading
@@ -157,3 +232,14 @@ class TestEngineIntegration:
         trace.disable()
         names = [r.name for r in trace.spans()]
         assert "aggregate.alpha" in names
+
+    def test_cache_hit_records_one_execute_span(self, snapshot_mo):
+        from repro.engine import Query, ResultCache
+
+        query = Query(snapshot_mo, result_cache=ResultCache(
+            admit_factor=0.0)).rollup("Diagnosis", "Diagnosis Group")
+        query.execute()
+        trace.enable()
+        query.execute()
+        (root,) = trace.spans("query.execute")
+        assert root.attributes["path"] == "cache"

@@ -205,17 +205,23 @@ class TestExplain:
                                .rollup("Diagnosis", "Diagnosis Family")
                                .dice("Diagnosis", diagnosis_value(4))
                                .execute(cache=False))
-        details = "\n".join(step.detail for step in report.steps)
-        assert "SELECT fact_id FROM fact" in details
-        assert "closure_" in details
-        assert report.steps[-1].name == "sql-execute"
+        assert [step.name for step in report.steps] == \
+            ["query.check", "sql.load", "sql.compile", "sql.execute"]
+        compiled_sql = report.steps[2].detail
+        assert "SELECT fact_id FROM fact" in compiled_sql
+        assert "closure_" in compiled_sql
+        assert compiled_sql == sql_backend_for(mo).explain_sql(
+            Query(mo).rollup("Diagnosis", "Diagnosis Family")
+            .dice("Diagnosis", diagnosis_value(4)).to_plan())
 
     def test_fallback_path_names_the_reason(self, mo):
         report = (Query(mo).rollup("Diagnosis", "Diagnosis Family")
                   .explain(Median("Age"), backend="sql", cache=False))
         assert report.path == "alpha"
-        assert report.steps[0].name == "sql-fallback"
-        assert "MD052" in report.steps[0].detail
+        assert [step.name for step in report.steps] == \
+            ["query.check", "sql.load", "sql.compile", "backends.fallback",
+             "query.alpha"]
+        assert "MD052" in report.steps[3].detail
 
     def test_explain_sql_renders_per_node(self, mo, backend):
         text = backend.explain_sql(

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """AST lint for engine invariants that plain style checkers can't see.
 
-Seven rules, all load-bearing for the caching and execution layers:
+Eight rules, all load-bearing for the caching and execution layers:
 
 1. **version/changelog pairing** — the rollup index and pre-aggregate
    store detect staleness by comparing version counters and replay
@@ -48,16 +48,16 @@ Seven rules, all load-bearing for the caching and execution layers:
    function must exist.
 
 6. **lock discipline on shared registries** — the process-global
-   mutable state (obs metric values, the trace ring buffer, the
-   fingerprint token table, the SQL-backend LRU, the result cache's
-   entry table) is mutated from arbitrary threads; every
-   read-modify-write must happen inside ``with <owning lock>:`` in the
-   same function.  Declarative per-file config (:data:`LOCK_RULES`)
-   names the lock(s), the guarded names, and the deliberate
-   exemptions: ``__init__`` (no concurrent aliases exist yet),
-   ``*_locked`` helpers (the caller holds the lock — the suffix is the
-   contract), and listed GIL-atomic single-op mutations (the trace
-   buffer's lock-free ``_buffer.append`` hot path).
+   mutable state (obs metric values, the trace ring buffer and its
+   open-collector count, the fingerprint token table, the SQL-backend
+   LRU, the result cache's entry table) is mutated from arbitrary
+   threads; every read-modify-write must happen inside
+   ``with <owning lock>:`` in the same function.  Declarative per-file
+   config (:data:`LOCK_RULES`) names the lock(s), the guarded names,
+   and the deliberate exemptions: ``__init__`` (no concurrent aliases
+   exist yet), ``*_locked`` helpers (the caller holds the lock — the
+   suffix is the contract), and listed GIL-atomic single-op mutations
+   (the trace buffer's lock-free ``_buffer.append`` hot path).
 
 7. **execution-backend protocol surface** — every class below
    ``ExecutionBackend`` must carry the full protocol: a class-level
@@ -69,6 +69,15 @@ Seven rules, all load-bearing for the caching and execution layers:
    is in :data:`LOCK_RULES`, so every ``_REGISTRY`` mutation must hold
    ``_REGISTRY_LOCK`` (and the sharded executor's pool/payload-cache
    globals their locks).
+
+8. **one timing mechanism** — a query is timed by ``obs.trace`` spans
+   alone: ``Query.explain()`` and ``explain_analyze`` read them, so a
+   hand-rolled timer elsewhere would be a second, unseen mechanism.
+   Rule: no call to ``time.perf_counter``, ``time.monotonic``,
+   ``time.time`` or ``time.process_time`` (nor their ``_ns`` forms)
+   under ``src/repro/`` outside ``obs/trace.py``, except at the sites
+   the declarative :data:`CLOCK_SITES` table lists with the reason
+   each is not query timing.
 
 Zero dependencies; exits 1 on any violation.  Run from the repo root::
 
@@ -405,7 +414,7 @@ LOCK_RULES: Tuple[LockRule, ...] = (
                                 "self._gauges", "self._histograms"})),
     LockRule("obs/trace.py",
              locks=frozenset({"_BUFFER_LOCK"}),
-             guarded=frozenset({"_buffer"}),
+             guarded=frozenset({"_buffer", "_open_collectors"}),
              # the span hot path appends lock-free: one deque.append
              # is GIL-atomic, and the buffer-management docstring
              # documents the best-effort view readers get
@@ -527,6 +536,84 @@ def check_lock_discipline(path: Path, tree: ast.AST,
     return problems
 
 
+#: rule 8's clocks: the ``time`` functions that read one.
+CLOCK_FUNCTIONS = frozenset({
+    "perf_counter", "monotonic", "time", "process_time",
+    "perf_counter_ns", "monotonic_ns", "time_ns", "process_time_ns",
+})
+
+#: the one module whose clock reads time spans.
+TIMING_MODULE = "obs/trace.py"
+
+
+class ClockSite(NamedTuple):
+    """A clock read rule 8 allows outside :data:`TIMING_MODULE`:
+    ``function`` (``Class.method``) in ``file`` (relative to
+    ``src/repro``), and why it is not query timing."""
+
+    file: str
+    function: str
+    reason: str
+
+
+#: rule 8's config — the clock reads that are not query timing.
+CLOCK_SITES: Tuple[ClockSite, ...] = (
+    ClockSite("engine/query.py", "Query._answer",
+              "the recompute cost that drives result-cache admission"),
+    ClockSite("engine/result_cache.py", "ResultCache.get",
+              "the query.cache.lookup_seconds histogram"),
+)
+
+
+def check_clock_reads(rel: str, tree: ast.AST) -> List[str]:
+    """Rule 8 on one module, ``rel`` being its path under
+    ``src/repro``."""
+    if rel == TIMING_MODULE:
+        return []
+    allowed = {site.function for site in CLOCK_SITES if site.file == rel}
+    modules, functions = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(alias.asname or alias.name
+                           for alias in node.names if alias.name == "time")
+        elif isinstance(node, ast.ImportFrom) and node.module == "time":
+            functions.update(alias.asname or alias.name
+                             for alias in node.names
+                             if alias.name in CLOCK_FUNCTIONS)
+
+    def clock_of(func: ast.expr) -> "str | None":
+        if (isinstance(func, ast.Attribute)
+                and isinstance(func.value, ast.Name)
+                and func.value.id in modules
+                and func.attr in CLOCK_FUNCTIONS):
+            return f"time.{func.attr}"
+        if isinstance(func, ast.Name) and func.id in functions:
+            return func.id
+        return None
+
+    problems: List[str] = []
+
+    def visit(node: ast.AST, scope: Tuple[str, ...]) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            clock = (clock_of(child.func) if isinstance(child, ast.Call)
+                     else None)
+            where = ".".join(scope) or "<module>"
+            if clock is not None and where not in allowed:
+                problems.append(
+                    f"src/repro/{rel}:{child.lineno}: {clock}() in {where} "
+                    f"— time engine work with trace.span, the one timing "
+                    f"mechanism (CLOCK_SITES lists the only other clock "
+                    f"reads)")
+            visit(child, scope)
+
+    visit(tree, ())
+    return problems
+
+
 def main() -> int:
     doc_text = OBS_DOC.read_text(encoding="utf-8")
     problems: List[str] = []
@@ -537,6 +624,7 @@ def main() -> int:
         problems += check_version_log_pairing(path, tree)
         problems += check_obs_names_documented(path, tree, doc_text)
         rel = path.relative_to(SRC).as_posix()
+        problems += check_clock_reads(rel, tree)
         for rule in LOCK_RULES:
             if rule.file == rel:
                 problems += check_lock_discipline(path, tree, rule)
