@@ -317,6 +317,85 @@ def _form_groups_interned(
     }
 
 
+def _applicability_gate(function: AggregationFunction,
+                        mo: MultidimensionalObject,
+                        strict_types: bool) -> None:
+    """α's applicability check (§3.1): in strict ("prevent") mode an
+    inapplicable function raises
+    :class:`~repro.core.errors.AggregationTypeError`; otherwise a
+    :class:`SummarizabilityWarning` is issued (``stacklevel`` names the
+    caller of :func:`aggregate`)."""
+    if not function.check_applicable(mo, strict=strict_types):
+        warnings.warn(
+            f"{function.name} applied to data whose aggregation type does "
+            f"not permit it; the result may be meaningless",
+            SummarizabilityWarning,
+            stacklevel=4,
+        )
+
+
+_Combo = Tuple[DimensionValue, ...]
+
+
+def _alpha_groups(
+    mo: MultidimensionalObject,
+    function: AggregationFunction,
+    grouping: Dict[str, str],
+    strict_types: bool = True,
+    at: Optional[Chronon] = None,
+    use_index: bool = True,
+    use_kernel: bool = True,
+) -> Tuple[Dict[str, str], Dict[_Combo, Set[Fact]], Dict[_Combo, object]]:
+    """α up to its result MO: check the grouping and the function's
+    applicability, form the groups and evaluate ``function`` on each
+    (arguments as :func:`aggregate`'s).  Returns the full grouping
+    (⊤ for omitted dimensions), the groups keyed by value combination
+    in ``mo.dimension_names`` order, and each group's raw result.  α
+    identifies a set-fact by its members (§4.1), so a snapshot query
+    reads its rows straight from these; :func:`aggregate` builds its
+    result MO from them."""
+    for name in grouping:
+        if name not in mo.schema:
+            raise SchemaError(f"grouping names unknown dimension {name!r}")
+    full_grouping = {
+        name: grouping.get(name, mo.dimension(name).dtype.top_name)
+        for name in mo.dimension_names
+    }
+    _applicability_gate(function, mo, strict_types)
+
+    dim_order = list(mo.dimension_names)
+    raw_results: Optional[Dict[_Combo, object]] = None
+    with trace.span("aggregate.alpha", grouping=tuple(sorted(grouping)),
+                    function=function.name, n_facts=len(mo.facts)):
+        if use_index and at is None:
+            # full_grouping iterates mo.dimension_names, so the columnar
+            # combos come back already in dim_order
+            columnar = (mo.rollup_index().columnar().grouping(full_grouping)
+                        if use_kernel else None)
+            if columnar is not None:
+                groups = columnar.groups()
+                _KERNEL_ROWS.observe(columnar.n_rows)
+                raw_results = columnar.evaluate(function)
+                if raw_results is None:
+                    _KERNEL_FALLBACK.inc()
+                    _PATH_INDEXED.inc()
+                else:
+                    _PATH_KERNEL.inc()
+            else:
+                _PATH_INDEXED.inc()
+                groups = _form_groups_interned(mo, full_grouping, dim_order)
+        else:
+            (_PATH_TEMPORAL if at is not None else _PATH_NAIVE).inc()
+            groups = _form_groups(mo, full_grouping, dim_order, at, use_index)
+    _GROUPS.observe(len(groups))
+    if raw_results is None:
+        raw_results = {
+            combo: function.apply(members, mo)
+            for combo, members in groups.items()
+        }
+    return full_grouping, groups, raw_results
+
+
 def aggregate(
     mo: MultidimensionalObject,
     function: AggregationFunction,
@@ -347,54 +426,14 @@ def aggregate(
     function has no :meth:`~AggregationFunction.batch_apply` kernel, a
     measure column is poisoned, or the grouping's key space overflows.
     """
-    for name in grouping:
-        if name not in mo.schema:
-            raise SchemaError(f"grouping names unknown dimension {name!r}")
     if result.name in mo.schema:
         raise SchemaError(
             f"result dimension {result.name!r} collides with an existing "
             f"dimension; rename first"
         )
-    full_grouping: Dict[str, str] = {}
-    for name in mo.dimension_names:
-        full_grouping[name] = grouping.get(
-            name, mo.dimension(name).dtype.top_name)
-
-    applicable = function.check_applicable(mo, strict=strict_types)
-    if not applicable:
-        warnings.warn(
-            f"{function.name} applied to data whose aggregation type does "
-            f"not permit it; the result may be meaningless",
-            SummarizabilityWarning,
-            stacklevel=2,
-        )
-
-    # -- form the groups ---------------------------------------------------
+    full_grouping, groups, raw_results = _alpha_groups(
+        mo, function, grouping, strict_types, at, use_index, use_kernel)
     dim_order = list(mo.dimension_names)
-    kernel_results: Optional[Dict[Tuple[DimensionValue, ...], object]] = None
-    with trace.span("aggregate.alpha", grouping=tuple(sorted(grouping)),
-                    function=function.name, n_facts=len(mo.facts)):
-        if use_index and at is None:
-            # full_grouping iterates mo.dimension_names, so the columnar
-            # combos come back already in dim_order
-            columnar = (mo.rollup_index().columnar().grouping(full_grouping)
-                        if use_kernel else None)
-            if columnar is not None:
-                groups = columnar.groups()
-                _KERNEL_ROWS.observe(columnar.n_rows)
-                kernel_results = columnar.evaluate(function)
-                if kernel_results is None:
-                    _KERNEL_FALLBACK.inc()
-                    _PATH_INDEXED.inc()
-                else:
-                    _PATH_KERNEL.inc()
-            else:
-                _PATH_INDEXED.inc()
-                groups = _form_groups_interned(mo, full_grouping, dim_order)
-        else:
-            (_PATH_TEMPORAL if at is not None else _PATH_NAIVE).inc()
-            groups = _form_groups(mo, full_grouping, dim_order, at, use_index)
-    _GROUPS.observe(len(groups))
 
     # -- summarizability and the aggregation-type propagation rule ----------
     nontrivial = {
@@ -418,19 +457,12 @@ def aggregate(
     aggtype_map = _propagated_aggtype_map(result.dimension.dtype,
                                           bottom_aggtype)
 
-    # -- evaluate g and build the result relations ---------------------------
+    # -- build the result relations -------------------------------------------
     set_fact_type = f"Set-of-{mo.schema.fact_type}"
-    new_facts: Dict[Tuple[DimensionValue, ...], Fact] = {
+    new_facts: Dict[_Combo, Fact] = {
         combo: Fact.group(members, ftype=set_fact_type)
         for combo, members in groups.items()
     }
-    if kernel_results is not None:
-        raw_results: Dict[Tuple[DimensionValue, ...], object] = kernel_results
-    else:
-        raw_results = {
-            combo: function.apply(members, mo)
-            for combo, members in groups.items()
-        }
 
     # materialize result values first (the spec's dimension grows on demand)
     result_values = {

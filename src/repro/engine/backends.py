@@ -1,8 +1,8 @@
 """Pluggable execution backends for :class:`~repro.engine.query.Query`.
 
-A backend is one way to answer a query — the in-process store → index →
-α ladder, the SQL star-schema pushdown, or the parallel sharded
-executor (:mod:`repro.engine.sharded`).  :class:`ExecutionBackend` is
+A backend is one way to answer a query — the in-process store → α
+ladder, the SQL star-schema pushdown, or the parallel sharded executor
+(:mod:`repro.engine.sharded`).  :class:`ExecutionBackend` is
 the protocol; a process-wide locked registry maps names to instances so
 ``Query.execute(backend="sql")`` resolves without any string dispatch
 in the query layer itself.
@@ -236,11 +236,11 @@ def dispatch(query: "Query", backend: ExecutionBackend,
 
 
 class MemoryBackend(ExecutionBackend):
-    """The in-process answer ladder: pre-aggregate store, then the
-    rollup-index fast path, then full α — all owned by
-    :meth:`Query._run`; this class is the protocol adapter around it.
-    Supports every plan (it *is* the semantics the other backends are
-    byte-identical to), so :meth:`supports` never refuses."""
+    """The in-process answer ladder: pre-aggregate store, then α —
+    both owned by :meth:`Query._run`; this class is the protocol
+    adapter around it.  Supports every plan (it *is* the semantics the
+    other backends are byte-identical to), so :meth:`supports` never
+    refuses."""
 
     name = "memory"
 

@@ -20,8 +20,8 @@ import time
 from dataclasses import dataclass, field
 from itertools import product
 from operator import itemgetter
-from typing import (Dict, FrozenSet, Hashable, Iterable, List, Optional,
-                    Sequence, Tuple, Union)
+from typing import (Dict, Hashable, Iterable, List, Optional, Sequence,
+                    Tuple, Union)
 
 from repro.algebra import (
     SetCount,
@@ -30,11 +30,12 @@ from repro.algebra import (
     conjunction,
     select,
 )
+from repro.algebra.aggregate import _alpha_groups
 from repro.algebra.functions import AggregationFunction
 from repro.core.errors import SchemaError
 from repro.core.helpers import make_result_spec
 from repro.core.mo import MultidimensionalObject, TimeKind
-from repro.core.values import DimensionValue, Fact
+from repro.core.values import DimensionValue
 from repro.engine import result_cache as result_cache_module
 from repro.engine.backends import ExecutionBackend, dispatch, resolve_backend
 from repro.engine.plan_fingerprint import (
@@ -114,7 +115,6 @@ def _alpha_rows(aggregated: MultidimensionalObject,
 
 
 _PATH_STORE = metrics.counter("query.path.store")
-_PATH_INDEX = metrics.counter("query.path.index")
 _PATH_ALPHA = metrics.counter("query.path.alpha")
 _CACHE_BYPASS = metrics.counter("query.cache.bypass")
 
@@ -160,10 +160,9 @@ def _step_of(record: trace.SpanRecord) -> ExplainStep:
 @dataclass
 class QueryExplain:
     """The EXPLAIN ANALYZE view of one executed query: the answer path
-    taken (``cache`` / ``store`` / ``index`` / ``alpha`` / ``sql`` /
-    ``sharded``), per-step timings and fact counts, and the rows
-    themselves (the query *was* executed — this is analysis, not
-    estimation)."""
+    taken (``cache`` / ``store`` / ``alpha`` / ``sql`` / ``sharded``),
+    per-step timings and fact counts, and the rows themselves (the
+    query *was* executed — this is analysis, not estimation)."""
 
     path: str
     rows: List[QueryResultRow]
@@ -360,11 +359,11 @@ class Query:
         """The engine's EXPLAIN ANALYZE: run the default call,
         :meth:`execute` with these arguments and ``check=True``, under
         a trace collector, and report the path taken (``cache`` /
-        ``store`` / ``index`` / ``alpha`` / ``sql`` / ``sharded``) and
-        one step per span directly under the call's ``query.execute``
-        root — ``query.check``, ``query.cache`` (hit, miss or bypass,
-        with the fingerprint; none under ``cache=False``), then the
-        answering backend's spans (``docs/OBSERVABILITY.md``)."""
+        ``store`` / ``alpha`` / ``sql`` / ``sharded``) and one step per
+        span directly under the call's ``query.execute`` root —
+        ``query.check``, ``query.cache`` (hit, miss or bypass, with the
+        fingerprint; none under ``cache=False``), then the answering
+        backend's spans (``docs/OBSERVABILITY.md``)."""
         with trace.collect() as records:
             rows = self.execute(function, strict_types, backend=backend,
                                 cache=cache)
@@ -441,67 +440,40 @@ class Query:
         strict_types: bool,
     ) -> Tuple[List[QueryResultRow], str]:
         """The memory backend's evaluation pipeline: try the store, then
-        the index fast path, then the full α evaluation.  The one that
-        answers records its span (``query.store``, ``query.index``, or
-        ``query.dice`` and ``query.alpha``)."""
+        α over the (diced) MO.  The one that answers records its span
+        (``query.store``, or ``query.dice`` and ``query.alpha``).  On a
+        snapshot MO the rows come straight from α's groups, since α
+        identifies each set-fact by its members (§4.1); on a temporal
+        MO the members' coalesced characterization times decide whether
+        a group sits at a value or at ⊤ (§4.2), so α builds its result
+        MO and the rows are read back from it."""
         if self._store is not None and not self._dices:
             rows = self._try_store(function)
             if rows is not None:
                 _PATH_STORE.inc()
                 return rows, "store"
-        rows = self._try_index(function, strict_types)
-        if rows is not None:
-            _PATH_INDEX.inc()
-            return rows, "index"
         _PATH_ALPHA.inc()
         mo = self._diced_mo()
+        names = sorted(self._grouping)
         with trace.span("query.alpha") as span:
-            aggregated = aggregate(
-                mo, function, self._grouping,
-                make_result_spec(name="__query_result"),
-                strict_types=strict_types)
-            rows = _alpha_rows(aggregated, sorted(self._grouping))
+            if mo.kind is TimeKind.SNAPSHOT:
+                _, groups, raw = _alpha_groups(
+                    mo, function, self._grouping, strict_types)
+                positions = [mo.dimension_names.index(n) for n in names]
+                rows = _finalize_rows(names, (
+                    (frozenset(members),
+                     tuple(combo[i] for i in positions), raw[combo])
+                    for combo, members in groups.items()))
+            else:
+                rows = _alpha_rows(aggregate(
+                    mo, function, self._grouping,
+                    make_result_spec(name="__query_result"),
+                    strict_types=strict_types), names)
             if span:
                 span.set(detail=f"{function.name} over "
                                 f"{dict(sorted(self._grouping.items()))}",
-                         facts_in=len(mo.facts),
-                         facts_out=len(aggregated.facts))
+                         facts_in=len(mo.facts), facts_out=len(rows))
         return rows, "alpha"
-
-    def _try_index(
-        self, function: AggregationFunction, strict_types: bool
-    ) -> Optional[List[QueryResultRow]]:
-        """Answer simple set-count roll-ups straight from the MO's
-        rollup index: one closure-map lookup per value instead of a full
-        aggregate formation and result-MO construction.
-
-        Only taken when it is provably equivalent to the α path: no
-        dices, an untimed (snapshot) MO, at most one grouped dimension,
-        and the plain set-count function.
-        """
-        if self._dices or self._mo.kind is not TimeKind.SNAPSHOT:
-            return None
-        if len(self._grouping) > 1 or type(function) is not SetCount:
-            return None
-        if not function.check_applicable(self._mo, strict=strict_types):
-            return None  # let α issue its summarizability warning
-        with trace.span("query.index") as span:
-            cells: List[Tuple[Tuple[DimensionValue, ...], FrozenSet[Fact]]]
-            if self._grouping:
-                (name, category), = self._grouping.items()
-                char_map = self._mo.rollup_index().characterization_map(
-                    name, category)
-                cells = [((value,), facts)
-                         for value, facts in char_map.items()]
-            else:
-                cells = [((), frozenset(self._mo.facts))]
-            rows = _finalize_rows(sorted(self._grouping), (
-                (facts, combo, len(facts))
-                for combo, facts in cells if facts))
-            if span:
-                span.set(detail="rollup-index characterization map",
-                         facts_in=len(self._mo.facts), facts_out=len(rows))
-        return rows
 
     def _try_store(
         self, function: AggregationFunction

@@ -549,13 +549,6 @@ class RollupIndex:
         table = self._value_tables.setdefault(dimension_name, InternTable())
         return table.intern(value)
 
-    def sort_values(self, dimension_name: str,
-                    values: Iterable[DimensionValue]) -> List[DimensionValue]:
-        """The values sorted by interned id (the deterministic order the
-        grouping paths use)."""
-        table = self._value_tables.setdefault(dimension_name, InternTable())
-        return sorted(values, key=table.intern)
-
     # -- characterization queries ------------------------------------------
 
     def _fact_set(self, entry: _DimensionIndex,

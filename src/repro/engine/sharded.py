@@ -46,7 +46,6 @@ from __future__ import annotations
 import math
 import os
 import threading
-import warnings
 from array import array
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
@@ -54,8 +53,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 from weakref import WeakKeyDictionary
 
+from repro.algebra.aggregate import _applicability_gate
 from repro.algebra.functions import AggregationFunction, has_batch_kernel
-from repro.core.errors import SummarizabilityWarning
 from repro.core.mo import MultidimensionalObject, TimeKind
 from repro.core.values import DimensionValue
 from repro.engine.backends import (
@@ -480,16 +479,9 @@ class ShardedBackend(ExecutionBackend):
     def run(self, query: "Query", plan,
             function: AggregationFunction, strict_types: bool,
             ) -> Tuple[List[QueryResultRow], str]:
-        # α's applicability gate, replicated so strict mode raises (and
-        # warn mode warns) exactly as the memory path would
-        applicable = function.check_applicable(query._mo,
-                                               strict=strict_types)
-        if not applicable:
-            warnings.warn(
-                f"{function.name} applied to data whose aggregation "
-                f"type does not permit it; the result may be "
-                f"meaningless",
-                SummarizabilityWarning, stacklevel=2)
+        # α's applicability gate: strict mode raises (and warn mode
+        # warns) exactly as the memory path does
+        _applicability_gate(function, query._mo, strict_types)
         _EXECUTES.inc()
         mode = self._mode(function)
         names = sorted(query._grouping)

@@ -19,13 +19,13 @@ from repro.engine import (
 
 
 class TestQueryExplain:
-    def test_index_path(self, snapshot_mo):
+    def test_alpha_path_without_dice(self, snapshot_mo):
         query = Query(snapshot_mo).rollup("Diagnosis", "Diagnosis Group")
         result = query.explain(cache=False)
-        assert result.path == "index"
+        assert result.path == "alpha"
         assert result.rows == query.execute(cache=False)
         assert [step.name for step in result.steps] == \
-            ["query.check", "query.index"]
+            ["query.check", "query.alpha"]
         step = result.steps[-1]
         assert step.facts_in == len(snapshot_mo.facts)
         assert step.facts_out == len(result.rows)
@@ -87,21 +87,25 @@ class TestQueryExplain:
             "Diagnosis", "Diagnosis Group").explain(cache=False)
         text = result.render()
         first, *rest = text.splitlines()
-        assert first.startswith("Query path=index rows=")
+        assert first.startswith("Query path=alpha rows=")
         # one line per span below the root, steps at the first indent
         assert len(rest) == len(result.spans) - 1
         steps = [line for line in rest if not line.startswith("   ")]
         assert [line.split()[0] for line in steps] == \
-            ["query.check", "query.index"]
-        assert steps[1].lstrip().startswith("query.index  facts ")
-        assert any(line.startswith("    rollup_index.") for line in rest)
+            ["query.check", "query.alpha"]
+        assert steps[1].lstrip().startswith("query.alpha  facts ")
+        below = [((len(line) - len(line.lstrip())) // 2, line.split()[0])
+                 for line in rest[rest.index(steps[1]) + 1:]]
+        assert below[0] == (2, "aggregate.alpha")
+        assert any(depth > 2 and name == "rollup_index.build"
+                   for depth, name in below)
 
     def test_default_call_starts_with_check(self, snapshot_mo):
         query = Query(snapshot_mo, result_cache=ResultCache(
             admit_factor=0.0)).rollup("Diagnosis", "Diagnosis Group")
         result = query.explain()
         assert [step.name for step in result.steps] == \
-            ["query.check", "query.cache", "query.index"]
+            ["query.check", "query.cache", "query.alpha"]
         assert result.rows == query.execute()
 
     def test_rejected_statically_as_execute_is(self, snapshot_mo):

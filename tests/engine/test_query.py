@@ -2,10 +2,14 @@
 
 import pytest
 
-from repro.algebra import SetCount, Sum
-from repro.casestudy import diagnosis_value
-from repro.core.errors import SchemaError
+from repro.algebra import SetCount, Sum, aggregate
+from repro.casestudy import case_study_mo, diagnosis_value, patient_fact
+from repro.core.errors import SchemaError, SummarizabilityWarning
+from repro.core.helpers import make_result_spec
 from repro.engine import PreAggregateStore, Query
+from repro.engine.query import _alpha_rows
+from repro.temporal.chronon import parse_day
+from repro.temporal.timeset import TimeSet
 
 
 class TestQueryBasics:
@@ -134,3 +138,44 @@ class TestMultiDimensionQueries:
         b = sorted((g["Diagnosis"].sid, g["Residence"].sid, v)
                    for g, v in direct)
         assert a == b
+
+
+def _alpha_answer(mo, function, grouping, strict_types=True):
+    """α's own rows for a query: the oracle of the memory path."""
+    return _alpha_rows(aggregate(
+        mo, function, grouping, make_result_spec(name="__query_result"),
+        strict_types=strict_types), sorted(grouping))
+
+
+class TestAlphaSemantics:
+    """The memory path reads snapshot rows from α's groups; these are
+    the α behaviours it must keep."""
+
+    def test_temporal_group_without_common_time_sits_at_top(self):
+        # two more patients in the first Area, at disjoint times: the
+        # Area's group has no chronon all its members share, so α
+        # places it at ⊤ (§4.2)
+        mo = case_study_mo(temporal=True)
+        area = min(mo.dimension("Residence").category("Area").members(),
+                   key=repr)
+        for pid, start, end in ((901, "01/01/1970", "31/12/1975"),
+                                (902, "01/01/1980", "31/12/1985")):
+            mo.relate(patient_fact(pid), "Residence", area,
+                      time=TimeSet.interval(parse_day(start),
+                                            parse_day(end)))
+        rows = Query(mo).rollup("Residence", "Area").execute(
+            check=False, cache=False)
+        assert rows == _alpha_answer(mo, SetCount(), {"Residence": "Area"})
+        assert any(repr(group["Residence"]) == "⊤(Residence)"
+                   for group, _ in rows)
+
+    def test_warn_mode_warns_and_answers(self, snapshot_mo):
+        query = Query(snapshot_mo).rollup("Residence", "Region")
+        with pytest.warns(SummarizabilityWarning):
+            rows = query.execute(Sum("DOB"), strict_types=False,
+                                 check=False, cache=False)
+        with pytest.warns(SummarizabilityWarning):
+            expected = _alpha_answer(snapshot_mo, Sum("DOB"),
+                                     {"Residence": "Region"},
+                                     strict_types=False)
+        assert rows == expected

@@ -181,7 +181,7 @@ class TestQueryWiring:
         q = self._query(mo, cache)
         miss = q.explain()
         assert [s.name for s in miss.steps] == \
-            ["query.check", "query.cache", "query.index"]
+            ["query.check", "query.cache", "query.alpha"]
         assert miss.steps[1].detail.startswith("miss: fingerprint=")
         hit = q.explain()
         assert hit.path == "cache"

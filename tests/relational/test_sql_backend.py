@@ -6,7 +6,7 @@ from itertools import product
 
 import pytest
 
-from repro.algebra import characterized_by, value_in_category
+from repro.algebra import characterized_by, rename, value_in_category
 from repro.algebra.functions import (
     Avg,
     CountDim,
@@ -104,6 +104,17 @@ class TestQueryEquivalence:
         q = Query(mo).rollup("Diagnosis", "Diagnosis Family")
         assert q.execute(function, check=False, cache=False) == \
             q.execute(function, check=False, backend="sql", cache=False)
+
+    def test_result_name_collision(self):
+        # a dimension named like the query's result dimension: α's
+        # result MO would collide with it, the query's rows do not
+        mo = rename(case_study_mo(temporal=False),
+                    dimension_map={"Name": "__query_result"})
+        q = Query(mo).rollup("Diagnosis", "Diagnosis Group")
+        rows = q.execute(Sum("Age"), check=False, cache=False)
+        assert len(rows) == 2
+        assert rows == q.execute(Sum("Age"), check=False, backend="sql",
+                                 cache=False)
 
     def test_diced_rollup(self, mo):
         q = (Query(mo).rollup("Diagnosis", "Diagnosis Group")
