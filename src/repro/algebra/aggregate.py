@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import warnings
 from itertools import product
-from typing import Dict, List, Optional, Set, Tuple
+from typing import AbstractSet, Dict, List, Optional, Set, Tuple
 
 from repro.algebra.functions import AggregationFunction
 from repro.core.aggtypes import AggregationType, min_aggtype
@@ -261,8 +261,10 @@ def _form_groups_interned(
     mo: MultidimensionalObject,
     full_grouping: Dict[str, str],
     dim_order: List[str],
+    fact_ids: Optional[AbstractSet[int]] = None,
 ) -> Dict[Tuple[DimensionValue, ...], Set[Fact]]:
-    """Group formation on interned ids (the untimed indexed path).
+    """Group formation on interned ids (the untimed indexed path), over
+    ``mo``'s facts or only those with the interned ``fact_ids``.
 
     The per-fact combination loop — the hot loop of α over large MOs —
     touches only dense integers: fact ids, value-id tuples, and int-tuple
@@ -282,22 +284,23 @@ def _form_groups_interned(
         else:
             id_maps[name] = index.grouping_value_ids_per_fact(name, cat)
     nontrivial_maps = [m for m in id_maps.values() if m is not None]
+    if fact_ids is None:
+        fact_ids = index.mo_fact_ids()
     if not nontrivial_maps:
         # every dimension grouped at ⊤: one group holding every fact
-        if not mo.facts:
+        if not fact_ids:
             return {}
         top_combo = tuple(
             mo.dimension(name).top_value for name in dim_order)
-        return {top_combo: set(mo.facts)}
+        return {top_combo: index.facts_of_ids(fact_ids)}
     # only facts present in every non-trivial map land in a group, so
     # iterating the smallest map's keys visits no fact object at all;
     # the id-level F membership check keeps α grouping exactly the MO's
-    # facts even if a relation mentions strays
+    # (or the mask's) facts even if a relation mentions strays
     candidates = min(nontrivial_maps, key=len)
-    mo_fact_ids = index.mo_fact_ids()
     group_ids: Dict[Tuple[int, ...], List[int]] = {}
     for fact_id in candidates:
-        if fact_id not in mo_fact_ids:
+        if fact_id not in fact_ids:
             continue
         vid_sets = []
         for name in dim_order:
@@ -345,6 +348,7 @@ def _alpha_groups(
     at: Optional[Chronon] = None,
     use_index: bool = True,
     use_kernel: bool = True,
+    mask: Optional[AbstractSet[Fact]] = None,
 ) -> Tuple[Dict[str, str], Dict[_Combo, Set[Fact]], Dict[_Combo, object]]:
     """α up to its result MO: check the grouping and the function's
     applicability, form the groups and evaluate ``function`` on each
@@ -353,7 +357,9 @@ def _alpha_groups(
     in ``mo.dimension_names`` order, and each group's raw result.  α
     identifies a set-fact by its members (§4.1), so a snapshot query
     reads its rows straight from these; :func:`aggregate` builds its
-    result MO from them."""
+    result MO from them.  A ``mask`` of ``mo``'s facts (σ's survivors;
+    untimed indexed rungs only) groups just those, on ``mo``'s layout:
+    σ keeps the schema and the dimensions (§4.1)."""
     for name in grouping:
         if name not in mo.schema:
             raise SchemaError(f"grouping names unknown dimension {name!r}")
@@ -366,12 +372,18 @@ def _alpha_groups(
     dim_order = list(mo.dimension_names)
     raw_results: Optional[Dict[_Combo, object]] = None
     with trace.span("aggregate.alpha", grouping=tuple(sorted(grouping)),
-                    function=function.name, n_facts=len(mo.facts)):
+                    function=function.name,
+                    n_facts=len(mo) if mask is None else len(mask)):
         if use_index and at is None:
+            index = mo.rollup_index()
+            fact_ids = (None if mask is None
+                        else frozenset(map(index.fact_id, mask)))
             # full_grouping iterates mo.dimension_names, so the columnar
             # combos come back already in dim_order
-            columnar = (mo.rollup_index().columnar().grouping(full_grouping)
+            columnar = (index.columnar().grouping(full_grouping)
                         if use_kernel else None)
+            if columnar is not None and fact_ids is not None:
+                columnar = columnar.restricted(fact_ids)
             if columnar is not None:
                 groups = columnar.groups()
                 _KERNEL_ROWS.observe(columnar.n_rows)
@@ -383,7 +395,8 @@ def _alpha_groups(
                     _PATH_KERNEL.inc()
             else:
                 _PATH_INDEXED.inc()
-                groups = _form_groups_interned(mo, full_grouping, dim_order)
+                groups = _form_groups_interned(mo, full_grouping, dim_order,
+                                               fact_ids)
         else:
             (_PATH_TEMPORAL if at is not None else _PATH_NAIVE).inc()
             groups = _form_groups(mo, full_grouping, dim_order, at, use_index)

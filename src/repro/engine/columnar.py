@@ -46,8 +46,10 @@ Fallback rules (any of these routes the caller to the object path):
 from __future__ import annotations
 
 from array import array
-from typing import (TYPE_CHECKING, Dict, Iterable, List, Mapping,
-                    NamedTuple, Optional, Sequence, Tuple, Union)
+from itertools import compress
+from typing import (TYPE_CHECKING, AbstractSet, Dict, Iterable, List,
+                    Mapping, NamedTuple, Optional, Sequence, Set, Tuple,
+                    Union)
 
 from repro.algebra.functions import (AggregationFunction, has_batch_kernel,
                                      measures_of)
@@ -217,12 +219,14 @@ class MeasureColumn:
     (0 for none); ``sums``/``mins``/``maxs`` are its measure sum,
     minimum and maximum (0.0 placeholders when it has none).  When any
     fact of the MO carries a non-numeric surrogate, the column is
-    *poisoned*: :attr:`error` holds the :class:`AlgebraError` and the
-    kernels refuse to use it, so the object path keeps the exact
-    raise-only-if-grouped semantics.
+    *poisoned*: :attr:`error` holds an :class:`AlgebraError`,
+    :attr:`poisoned` the offending fact ids, and the kernels refuse to
+    use it, so the object path keeps the exact raise-only-if-grouped
+    semantics.
     """
 
-    __slots__ = ("counts", "sums", "mins", "maxs", "error", "stamp")
+    __slots__ = ("counts", "sums", "mins", "maxs", "error", "poisoned",
+                 "stamp")
 
     def __init__(self, size: int, stamp: Tuple[int, int]) -> None:
         self.counts = array("q", [0]) * size
@@ -230,6 +234,7 @@ class MeasureColumn:
         self.mins = array("d", [0.0]) * size
         self.maxs = array("d", [0.0]) * size
         self.error: Optional[AlgebraError] = None
+        self.poisoned: Set[int] = set()
         self.stamp = stamp
 
 
@@ -316,6 +321,17 @@ class ColumnarGrouping:
                 for key, fids in self.rows_by_key().items()
             }
         return self._groups
+
+    def restricted(self, fact_ids: AbstractSet[int]) -> "ColumnarGrouping":
+        """The rows of the facts ``fact_ids`` only (a dice's fact mask),
+        sharing this layout's decode tables and measure columns; never
+        cached, since the mask is per query."""
+        keep = [fid in fact_ids for fid in self.row_facts]
+        return ColumnarGrouping(
+            self._index, self._store, self.items,
+            array("q", compress(self.keys, keep)),
+            array("q", compress(self.row_facts, keep)),
+            self._decodes, self.stamp)
 
     def measure_rows(self, dimension_name: str,
                      column: MeasureColumn) -> MeasureRows:
@@ -436,20 +452,23 @@ class ColumnarStore:
         column = MeasureColumn(size, stamp)
         counts, sums = column.counts, column.sums
         mins, maxs = column.mins, column.maxs
-        try:
-            for fact in mo.facts:
+        for fact in mo.facts:
+            try:
                 ms = measures_of(mo, dimension_name, fact)
-                if ms:
-                    fid = index.fact_id(fact)
-                    counts[fid] = len(ms)
-                    sums[fid] = sum(ms)
-                    mins[fid] = min(ms)
-                    maxs[fid] = max(ms)
-        except AlgebraError as exc:
-            # poisoned: some fact's surrogate is non-numeric; kernels
-            # refuse the column so the object path raises exactly when
-            # a bad fact is actually grouped
-            column.error = exc
+            except AlgebraError as exc:
+                # poisoned: this fact's surrogate is non-numeric; kernels
+                # refuse the column so the object path raises exactly
+                # when a bad fact is actually grouped
+                column.error = exc
+                column.poisoned.add(index.fact_id(fact))
+                continue
+            if ms:
+                fid = index.fact_id(fact)
+                counts[fid] = len(ms)
+                sums[fid] = sum(ms)
+                mins[fid] = min(ms)
+                maxs[fid] = max(ms)
+        if column.error is not None:
             _MEASURE_POISONED.inc()
         self._measures[dimension_name] = column
         return column

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from itertools import product
 from operator import itemgetter
 from typing import (Dict, Hashable, Iterable, List, Optional, Sequence,
-                    Tuple, Union)
+                    Set, Tuple, Union)
 
 from repro.algebra import (
     SetCount,
@@ -32,10 +32,11 @@ from repro.algebra import (
 )
 from repro.algebra.aggregate import _alpha_groups
 from repro.algebra.functions import AggregationFunction
+from repro.algebra.selection import _dice_values, _diced_facts
 from repro.core.errors import SchemaError
 from repro.core.helpers import make_result_spec
 from repro.core.mo import MultidimensionalObject, TimeKind
-from repro.core.values import DimensionValue
+from repro.core.values import DimensionValue, Fact
 from repro.engine import result_cache as result_cache_module
 from repro.engine.backends import ExecutionBackend, dispatch, resolve_backend
 from repro.engine.plan_fingerprint import (
@@ -242,18 +243,33 @@ class Query:
         return conjunction(*[characterized_by(d, v)
                              for d, v in self._dices])
 
+    def _dice_mask(self) -> Optional[Set[Fact]]:
+        """A snapshot query's dices as a fact mask over the undiced MO
+        (a ``query.dice`` span): σ's surviving facts, found the way
+        :func:`~repro.algebra.select` finds them; ``None`` without
+        dices."""
+        if not self._dices:
+            return None
+        with trace.span("query.dice") as span:
+            mask = _diced_facts(self._mo,
+                                _dice_values(self._dice_predicate()))
+            self._describe_dice(span, len(mask))
+        return mask
+
     def _diced_mo(self) -> MultidimensionalObject:
-        """The diced MO (a ``query.dice`` span), or the MO itself."""
+        """A temporal query's diced MO (a ``query.dice`` span), or the
+        MO itself without dices."""
         if not self._dices:
             return self._mo
         with trace.span("query.dice") as span:
             mo = select(self._mo, self._dice_predicate())
-            if span:
-                span.set(detail=", ".join(f"{d}={v!r}"
-                                          for d, v in self._dices),
-                         facts_in=len(self._mo.facts),
-                         facts_out=len(mo.facts))
+            self._describe_dice(span, len(mo))
         return mo
+
+    def _describe_dice(self, span, facts_out: int) -> None:
+        if span:
+            span.set(detail=", ".join(f"{d}={v!r}" for d, v in self._dices),
+                     facts_in=len(self._mo), facts_out=facts_out)
 
     def to_plan(self, function: Optional[AggregationFunction] = None,
                 strict_types: bool = False):
@@ -440,25 +456,30 @@ class Query:
         strict_types: bool,
     ) -> Tuple[List[QueryResultRow], str]:
         """The memory backend's evaluation pipeline: try the store, then
-        α over the (diced) MO.  The one that answers records its span
+        α over the diced MO.  The one that answers records its span
         (``query.store``, or ``query.dice`` and ``query.alpha``).  On a
-        snapshot MO the rows come straight from α's groups, since α
-        identifies each set-fact by its members (§4.1); on a temporal
-        MO the members' coalesced characterization times decide whether
-        a group sits at a value or at ⊤ (§4.2), so α builds its result
-        MO and the rows are read back from it."""
+        snapshot MO the dices are a fact mask over the undiced MO, whose
+        layout is already built: σ keeps the schema and the dimensions
+        (§4.1), so α groups σ's survivors with the MO's own.  The rows
+        come straight from α's groups, since α identifies each set-fact
+        by its members (§4.1).  On a temporal MO the members' coalesced
+        characterization times decide whether a group sits at a value
+        or at ⊤ (§4.2), so σ builds the diced MO, α builds its result
+        MO, and the rows are read back from it."""
         if self._store is not None and not self._dices:
             rows = self._try_store(function)
             if rows is not None:
                 _PATH_STORE.inc()
                 return rows, "store"
         _PATH_ALPHA.inc()
-        mo = self._diced_mo()
         names = sorted(self._grouping)
+        snapshot = self._mo.kind is TimeKind.SNAPSHOT
+        mask = self._dice_mask() if snapshot else None
+        mo = self._mo if snapshot else self._diced_mo()
         with trace.span("query.alpha") as span:
-            if mo.kind is TimeKind.SNAPSHOT:
+            if snapshot:
                 _, groups, raw = _alpha_groups(
-                    mo, function, self._grouping, strict_types)
+                    mo, function, self._grouping, strict_types, mask=mask)
                 positions = [mo.dimension_names.index(n) for n in names]
                 rows = _finalize_rows(names, (
                     (frozenset(members),
@@ -472,7 +493,8 @@ class Query:
             if span:
                 span.set(detail=f"{function.name} over "
                                 f"{dict(sorted(self._grouping.items()))}",
-                         facts_in=len(mo.facts), facts_out=len(rows))
+                         facts_in=len(mo if mask is None else mask),
+                         facts_out=len(rows))
         return rows, "alpha"
 
     def _try_store(

@@ -27,6 +27,7 @@ move only machine integers and floats.  A payload round-trips through
 ``pickle`` under the ``spawn`` start method, which the regression test
 pins even though Linux CI forks.
 
+A dice masks the MO's own columns: payloads carry σ's surviving facts.
 Payloads are cached per MO keyed by its
 :func:`~repro.engine.result_cache.version_vector` (plus dices,
 grouping, measure args, and shard count) — the pool itself is
@@ -50,13 +51,14 @@ from array import array
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import (TYPE_CHECKING, Dict, Iterable, List, Optional,
+                    Sequence, Set, Tuple)
 from weakref import WeakKeyDictionary
 
 from repro.algebra.aggregate import _applicability_gate
 from repro.algebra.functions import AggregationFunction, has_batch_kernel
 from repro.core.mo import MultidimensionalObject, TimeKind
-from repro.core.values import DimensionValue
+from repro.core.values import DimensionValue, Fact
 from repro.engine.backends import (
     BackendRefused,
     ExecutionBackend,
@@ -203,13 +205,15 @@ def build_payloads(
     function: AggregationFunction,
     mode: str,
     n_shards: int,
+    fact_ids: Optional[Iterable[int]] = None,
 ) -> Tuple[List[ShardPayload], List[Sequence[DimensionValue]]]:
     """Slice ``mo``'s interned columns into ``n_shards`` contiguous
     fact-id ranges, plus the parent-side decode tables in
     sorted-grouping order (so decoded combos align with the row
-    names).  Raises
+    names).  A dice's mask, the ``fact_ids`` of some of ``mo``'s
+    facts, shards only those.  Raises
     :class:`~repro.engine.backends.BackendRefused` (``MD077``) on a
-    composed-key radix overflow or a poisoned measure column."""
+    composed-key radix overflow or a measure poisoned at a shard fact."""
     index = mo.rollup_index()
     names = sorted(grouping)
     location = f"α grouping {names}"
@@ -219,7 +223,7 @@ def build_payloads(
             f"composed group-key space of {names} overflows "
             f"{MAX_COMPOSED_KEY} (signed 64-bit keys)", location))
     decodes = [digit.decode for digit in digits]
-    fact_ids = sorted(index.mo_fact_ids())
+    fact_ids = sorted(index.mo_fact_ids() if fact_ids is None else fact_ids)
     if not fact_ids:
         return [], decodes
 
@@ -228,7 +232,7 @@ def build_payloads(
         store = index.columnar()
         for arg in dict.fromkeys(function.args):
             measure = store.measure_column(arg)
-            if measure.error is not None:
+            if not measure.poisoned.isdisjoint(fact_ids):
                 raise BackendRefused(_refusal(
                     f"measure column {arg!r} is poisoned "
                     f"({measure.error}); workers cannot evaluate it "
@@ -439,14 +443,13 @@ class ShardedBackend(ExecutionBackend):
         return "distributive"
 
     def _payloads(
-        self, query: "Query", mo: MultidimensionalObject,
+        self, query: "Query", mask: Optional[Set[Fact]],
         function: AggregationFunction, mode: str,
     ) -> Tuple[List[ShardPayload], List[Sequence[DimensionValue]], bool]:
-        """Version-keyed payload cache around :func:`build_payloads`;
-        returns ``(payloads, decodes, was_cache_hit)``.  Keyed on the
-        *original* MO (the diced MO is a fresh derivation per call) —
-        ``select`` is deterministic, so original versions + dices
-        determine the diced columns."""
+        """Version-keyed payload cache around :func:`build_payloads`
+        over the query's MO and its dice ``mask``; returns ``(payloads,
+        decodes, was_cache_hit)``.  σ is deterministic, so the MO's
+        versions and the dices determine the mask."""
         key = (
             version_vector(query._mo),
             tuple(query._dices),
@@ -462,8 +465,10 @@ class ShardedBackend(ExecutionBackend):
                     per_mo.move_to_end(key)
                     _PAYLOAD_HITS.inc()
                     return cached[0], cached[1], True
+        index = query._mo.rollup_index()
         payloads, decodes = build_payloads(
-            mo, dict(query._grouping), function, mode, self.n_shards)
+            query._mo, dict(query._grouping), function, mode, self.n_shards,
+            None if mask is None else map(index.fact_id, mask))
         _PAYLOAD_BUILDS.inc()
         with self._cache_lock:
             per_mo = self._payload_cache.get(query._mo)
@@ -485,14 +490,14 @@ class ShardedBackend(ExecutionBackend):
         _EXECUTES.inc()
         mode = self._mode(function)
         names = sorted(query._grouping)
-        mo = query._diced_mo()
+        mask = query._dice_mask()
         with trace.span("sharded.plan") as span:
-            payloads, decodes, hit = self._payloads(query, mo, function,
+            payloads, decodes, hit = self._payloads(query, mask, function,
                                                     mode)
             if span:
                 span.set(detail=f"{len(payloads)} shard(s), {mode} merge, "
                                 f"payloads {'cached' if hit else 'built'}",
-                         facts_in=len(mo.facts),
+                         facts_in=len(query._mo if mask is None else mask),
                          facts_out=sum(len(p.fact_ids) for p in payloads))
         with trace.span("sharded.map") as span:
             results: List[ShardResult] = []

@@ -2,14 +2,17 @@
 
 import pytest
 
-from repro.algebra import SetCount, Sum, aggregate
+from repro.algebra import SetCount, Sum, aggregate, characterized_by, select
 from repro.casestudy import case_study_mo, diagnosis_value, patient_fact
 from repro.core.errors import SchemaError, SummarizabilityWarning
 from repro.core.helpers import make_result_spec
 from repro.engine import PreAggregateStore, Query
 from repro.engine.query import _alpha_rows
+from repro.engine.sharded import ShardedBackend
+from repro.obs import metrics
 from repro.temporal.chronon import parse_day
 from repro.temporal.timeset import TimeSet
+from repro.workloads.generator import ClinicalConfig, generate_clinical
 
 
 class TestQueryBasics:
@@ -171,11 +174,71 @@ class TestAlphaSemantics:
 
     def test_warn_mode_warns_and_answers(self, snapshot_mo):
         query = Query(snapshot_mo).rollup("Residence", "Region")
-        with pytest.warns(SummarizabilityWarning):
-            rows = query.execute(Sum("DOB"), strict_types=False,
+        county = min(snapshot_mo.dimension("Residence")
+                     .category("County").members(), key=repr)
+        diced = select(snapshot_mo, characterized_by("Residence", county))
+        # undiced, then diced: a dice masks the MO, the gate is the same
+        for q, mo in ((query, snapshot_mo),
+                      (query.dice("Residence", county), diced)):
+            with pytest.warns(SummarizabilityWarning):
+                rows = q.execute(Sum("DOB"), strict_types=False,
                                  check=False, cache=False)
-        with pytest.warns(SummarizabilityWarning):
-            expected = _alpha_answer(snapshot_mo, Sum("DOB"),
-                                     {"Residence": "Region"},
-                                     strict_types=False)
-        assert rows == expected
+            with pytest.warns(SummarizabilityWarning):
+                expected = _alpha_answer(mo, Sum("DOB"),
+                                         {"Residence": "Region"},
+                                         strict_types=False)
+            assert rows == expected
+
+
+def _warm_clinical():
+    """A clinical MO with every dimension's rollup index built, as the
+    repository benchmark's set-up leaves it."""
+    workload = generate_clinical(ClinicalConfig(n_patients=60, seed=3))
+    mo = workload.mo
+    index = mo.rollup_index()
+    for name in mo.dimension_names:
+        index.group_counts(name, mo.dimension(name).dtype.top_name)
+    return workload
+
+
+class TestDiceMask:
+    """A snapshot query's dices mask the undiced MO: no query builds a
+    diced MO, nor a rollup index or columnar layout for one."""
+
+    def test_diced_queries_build_no_mo_and_no_index(self):
+        workload = _warm_clinical()
+        mo = workload.mo
+        region, county = workload.regions[0], workload.counties[0]
+        top = mo.dimension("Residence").top_value
+        dice_sets = ([region], [county], [region, county], [top])
+        selects = metrics.counter("selection.path.set")
+        builds = metrics.counter("rollup_index.builds")
+        before = (selects.value, builds.value)
+        for values in dice_sets:
+            for grouping in ({}, {"Residence": "County"},
+                             {"Diagnosis": "Diagnosis Group"}):
+                q = Query(mo)
+                for value in values:
+                    q = q.dice("Residence", value)
+                for name, category in grouping.items():
+                    q = q.rollup(name, category)
+                for function in (SetCount(), Sum("Age")):
+                    assert q.execute(function, check=False, cache=False)
+        sharded = Query(mo).dice("Residence", region).rollup(
+            "Residence", "County")
+        assert sharded.execute(Sum("Age"), check=False, cache=False,
+                               backend=ShardedBackend(n_shards=2))
+        assert (selects.value, builds.value) == before
+
+    def test_second_diced_query_reuses_the_layout(self):
+        workload = _warm_clinical()
+        query = Query(workload.mo).rollup("Residence", "County")
+        query.dice("Residence", workload.regions[0]).execute(
+            check=False, cache=False)
+        hits = metrics.counter("columnar.hit")
+        layouts = metrics.counter("columnar.build")
+        before = (hits.value, layouts.value)
+        query.dice("Residence", workload.regions[1]).execute(
+            check=False, cache=False)
+        assert hits.value > before[0]
+        assert layouts.value == before[1]

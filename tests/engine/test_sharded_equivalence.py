@@ -26,7 +26,7 @@ from repro.algebra import (
 from repro.algebra.functions import Avg, Max, Median, Min, Sum
 from repro.analyze import ShardVerdict, shardability_of
 from repro.core.helpers import make_result_spec
-from repro.core.values import Fact
+from repro.core.values import DimensionValue, Fact
 from repro.engine import Query
 from repro.engine.backends import BackendRefused
 from repro.engine.sharded import ShardedBackend
@@ -191,14 +191,43 @@ def test_holistic_never_reaches_the_pool():
 
 def test_sharded_explain_path_and_steps():
     workload = generate_clinical(ClinicalConfig(n_patients=20, seed=5))
-    q = Query(workload.mo).rollup("Residence", "County")
-    report = q.explain(Sum("Age"), backend="sharded", cache=False)
-    assert report.path == "sharded"
-    names = [step.name for step in report.steps]
-    assert names == ["query.check", "sharded.plan", "sharded.map",
-                     "sharded.merge"]
-    assert _canon(report.rows) == _canon(
-        q.execute(Sum("Age"), check=False, cache=False))
+    undiced = Query(workload.mo).rollup("Residence", "County")
+    diced = undiced.dice("Residence", workload.regions[0])
+    for q, dice in ((undiced, []), (diced, ["query.dice"])):
+        report = q.explain(Sum("Age"), backend="sharded", cache=False)
+        assert report.path == "sharded"
+        names = [step.name for step in report.steps]
+        assert names == ["query.check", *dice, "sharded.plan",
+                         "sharded.map", "sharded.merge"]
+        assert _canon(report.rows) == _canon(
+            q.execute(Sum("Age"), check=False, cache=False))
+        if dice:
+            steps = {step.name: step for step in report.steps}
+            assert steps["sharded.plan"].facts_in == \
+                steps["query.dice"].facts_out
+
+
+def test_dice_excluding_a_poisoned_measure_still_shards():
+    """A non-numeric Age outside the dice leaves the diced query
+    shardable, as σ's own MO would; without the dice it refuses."""
+    workload = generate_clinical(ClinicalConfig(n_patients=30, seed=6))
+    mo = workload.mo
+    region = workload.regions[0]
+    outside = next(f for f in workload.patients
+                   if region not in mo.dimension("Residence").ancestors(
+                       next(iter(mo.relation("Residence").values_of(f)))))
+    bad = DimensionValue(sid=("not", "numeric"), label="bad")
+    mo.dimension("Age").add_value("Age", bad)
+    mo.relate(outside, "Age", bad)
+    q = Query(mo).rollup("Residence", "County")
+    backend = ShardedBackend(n_shards=2)
+    diced = q.dice("Residence", region)
+    assert _canon(diced.execute(Sum("Age"), check=False, cache=False,
+                                backend=backend)) == \
+        _canon(diced.execute(Sum("Age"), check=False, cache=False))
+    with pytest.raises(BackendRefused) as excinfo:
+        q.execute(Sum("Age"), check=False, cache=False, backend=backend)
+    assert excinfo.value.diagnostic.code == "MD077"
 
 
 def test_payload_cache_hits_until_mutation():
