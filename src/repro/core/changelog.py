@@ -17,6 +17,7 @@ correctness, only whether the cheap path is available.
 from __future__ import annotations
 
 from collections import deque
+from itertools import islice
 from typing import Deque, List, Optional, Tuple
 
 __all__ = ["ChangeLog"]
@@ -52,14 +53,24 @@ class ChangeLog:
         """The ops for every bump in ``(version, current]``, oldest
         first — or ``None`` when the log cannot prove it covers the
         whole span (an entry aged out of the bounded log) or a barrier
-        sits inside it."""
-        if current == version:
+        sits inside it.
+
+        Reads only the span: with one entry per bump, ``(version,
+        current]`` is the newest ``current - version`` entries, so the
+        walk starts at the tail and stops at the span's oldest entry."""
+        wanted = current - version
+        if wanted == 0:
             return []
-        ops = [op for v, op in self._entries if version < v <= current]
-        if len(ops) != current - version:
+        entries = self._entries
+        if wanted < 0 or wanted > len(entries) \
+                or entries[-1][0] != current:
             return None  # a bump aged out of the log: coverage unprovable
-        if any(op is None for op in ops):
+        ops = [op for _, op in islice(reversed(entries), wanted)]
+        if entries[-wanted][0] != version + 1:
+            return None  # the versions skip: coverage unprovable
+        if None in ops:
             return None  # a barrier: this span includes a non-delta-able op
+        ops.reverse()
         return ops
 
     def __len__(self) -> int:

@@ -26,7 +26,10 @@ call per group.  The layout itself is module-level (digits per
 dimension, key composition, decoding, keys to member lists), shared by
 :class:`ColumnarStore` and the sharded backend's workers, which compose
 the keys of one fact-id slice each.  Everything is version-stamped and
-rebuilt lazily, the same staleness protocol as the rollup index;
+refreshed lazily, the same staleness protocol as the rollup index: a
+stale layout or measure column is patched from the change logs for
+just the facts a write touched, or rebuilt when the logs cannot replay
+the span (see :class:`ColumnarStore`);
 ``use_index=False`` stays the byte-identity oracle (see
 docs/PERFORMANCE.md for the float-ordering caveat on SUM/AVG).
 
@@ -46,6 +49,7 @@ Fallback rules (any of these routes the caller to the object path):
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left, bisect_right, insort
 from itertools import compress
 from typing import (TYPE_CHECKING, AbstractSet, Dict, Iterable, List,
                     Mapping, NamedTuple, Optional, Sequence, Set, Tuple,
@@ -54,7 +58,7 @@ from typing import (TYPE_CHECKING, AbstractSet, Dict, Iterable, List,
 from repro.algebra.functions import (AggregationFunction, has_batch_kernel,
                                      measures_of)
 from repro.core.errors import AlgebraError
-from repro.core.values import DimensionValue
+from repro.core.values import DimensionValue, Fact
 from repro.engine.rollup_index import (MULTI_VALUED, UNCHARACTERIZED,
                                        RollupIndex)
 from repro.obs import metrics, trace
@@ -77,6 +81,7 @@ __all__ = [
 MAX_COMPOSED_KEY = 2 ** 62
 
 _BUILDS = metrics.counter("columnar.build")
+_PATCHES = metrics.counter("columnar.patch")
 _HITS = metrics.counter("columnar.hit")
 _RADIX_FALLBACK = metrics.counter("columnar.fallback.radix")
 _MEASURE_BUILDS = metrics.counter("columnar.measure_column.build")
@@ -197,6 +202,24 @@ def _decode_key(decodes: Sequence[Sequence[DimensionValue]],
     return tuple(values)
 
 
+#: one touched fact's rows in a patch: old rows ``[lo, hi)`` give way
+#: to the new rows ``[new_lo, new_hi)`` (see :func:`_splice`)
+Splice = Tuple[int, int, int, int]
+
+
+def _splice(old: array, new: array, plan: Sequence[Splice]) -> array:
+    """``old`` with each plan step's rows replaced by its rows of
+    ``new``: slices and concatenation only, no per-row Python work."""
+    out = array(old.typecode)
+    start = 0
+    for lo, hi, new_lo, new_hi in plan:
+        out += old[start:lo]
+        out += new[new_lo:new_hi]
+        start = hi
+    out += old[start:]
+    return out
+
+
 def _members_by_key(keys: Iterable[int], row_facts: Iterable[int]
                     ) -> Dict[int, List[int]]:
     """``composed key → fact ids of its rows``: the integer-level
@@ -237,6 +260,21 @@ class MeasureColumn:
         self.poisoned: Set[int] = set()
         self.stamp = stamp
 
+    def grown_copy(self, size: int, stamp: Tuple[int, int]
+                   ) -> "MeasureColumn":
+        """A copy stamped ``stamp`` and padded to ``size`` cells — the
+        start of a patch, which leaves this column as it was for its
+        holders."""
+        pad = size - len(self.counts)
+        copy = MeasureColumn(0, stamp)
+        copy.counts = self.counts + array("q", [0]) * pad
+        copy.sums = self.sums + array("d", [0.0]) * pad
+        copy.mins = self.mins + array("d", [0.0]) * pad
+        copy.maxs = self.maxs + array("d", [0.0]) * pad
+        copy.error = self.error
+        copy.poisoned = set(self.poisoned)
+        return copy
+
 
 class MeasureRows:
     """A :class:`MeasureColumn` gathered row-aligned with one grouping's
@@ -253,6 +291,18 @@ class MeasureRows:
         self.mins = array("d", map(column.mins.__getitem__, row_facts))
         self.maxs = array("d", map(column.maxs.__getitem__, row_facts))
 
+    def spliced(self, column: MeasureColumn, new_row_facts: array,
+                plan: Sequence[Splice]) -> "MeasureRows":
+        """These rows with a patch's :func:`_splice` plan applied: the
+        touched facts' new rows (``new_row_facts``) gathered from
+        ``column``, every other row carried over."""
+        gathered = MeasureRows(column, new_row_facts)
+        out = MeasureRows.__new__(MeasureRows)
+        for name in MeasureRows.__slots__:
+            setattr(out, name, _splice(getattr(self, name),
+                                       getattr(gathered, name), plan))
+        return out
+
 
 class ColumnarGrouping:
     """One grouping laid out flat: row-aligned key and fact-id columns
@@ -266,13 +316,14 @@ class ColumnarGrouping:
     """
 
     __slots__ = ("_index", "_store", "items", "keys", "row_facts",
-                 "_decodes", "_rows_by_key", "_groups", "_combos",
-                 "_measure_cache", "stamp")
+                 "_decodes", "_codes", "_rows_by_key", "_groups",
+                 "_combos", "_measure_cache", "stamp")
 
     def __init__(self, index: RollupIndex, store: "ColumnarStore",
                  items: Tuple[Tuple[str, str], ...],
                  keys: array, row_facts: array,
                  decodes: List[Sequence[DimensionValue]],
+                 codes: List[Optional[Dict[int, int]]],
                  stamp: tuple) -> None:
         self._index = index
         self._store = store
@@ -283,9 +334,11 @@ class ColumnarGrouping:
         #: interned fact id per row, aligned with :attr:`keys`
         self.row_facts = row_facts
         #: per grouped dimension, in :attr:`items` order: digit → value
-        #: (only the decode tables: the value-id columns would pin
-        #: superseded index arrays while a stale grouping stays cached)
+        #: and value id → digit (``None`` at ⊤) — only the code tables:
+        #: the value-id columns would pin superseded index arrays while
+        #: a stale grouping stays cached
         self._decodes = decodes
+        self._codes = codes
         self._rows_by_key: Optional[Dict[int, List[int]]] = None
         self._groups: Optional[Dict[Combo, frozenset]] = None
         self._combos: Optional[Dict[int, Combo]] = None
@@ -331,7 +384,91 @@ class ColumnarGrouping:
             self._index, self._store, self.items,
             array("q", compress(self.keys, keep)),
             array("q", compress(self.row_facts, keep)),
-            self._decodes, self.stamp)
+            self._decodes, self._codes, self.stamp)
+
+    def patched(self, touched: Sequence[int], keys: array,
+                row_facts: array, stamp: tuple) -> "ColumnarGrouping":
+        """A new layout with the rows of the ascending fact ids
+        ``touched`` replaced by ``keys``/``row_facts`` (their recomposed
+        rows, in fact-id order), stamped ``stamp``.  The code tables
+        stay, so every untouched row, key and decoded combo is carried
+        over as is; the lazy views this layout has already built are
+        carried too, recomputing only the keys whose rows moved."""
+        old_keys, old_facts = self.keys, self.row_facts
+        plan: List[Splice] = []
+        lo = new_lo = 0
+        for fid in touched:
+            lo = bisect_left(old_facts, fid, lo)
+            hi = bisect_right(old_facts, fid, lo)
+            new_hi = bisect_right(row_facts, fid, new_lo)
+            if hi > lo or new_hi > new_lo:
+                plan.append((lo, hi, new_lo, new_hi))
+            lo, new_lo = hi, new_hi
+        out = ColumnarGrouping(
+            self._index, self._store, self.items,
+            _splice(old_keys, keys, plan),
+            _splice(old_facts, row_facts, plan),
+            self._decodes, self._codes, stamp)
+        if self._rows_by_key is not None:
+            self._carry_views(out, plan, keys, row_facts)
+        names = [name for name, _ in self.items]
+        facts_version, versions = self.stamp
+        for name, (column, rows) in self._measure_cache.items():
+            # the touched facts cover every measure that moved since this
+            # layout's stamp: carry rows gathered at exactly that stamp
+            if (name not in names or column.stamp
+                    != (versions[names.index(name)][1], facts_version)):
+                continue
+            fresh = self._store.measure_column(name)
+            if fresh.error is None:
+                out._measure_cache[name] = (
+                    fresh, rows.spliced(fresh, row_facts, plan))
+        return out
+
+    def _carry_views(self, out: "ColumnarGrouping", plan: Sequence[Splice],
+                     keys: array, row_facts: array) -> None:
+        """Give ``out`` this layout's lazy views with a patch applied:
+        a key whose rows moved gets its fact-id list (and group) redone
+        from the moved rows; every other key's entry is shared."""
+        gone: Dict[int, Set[int]] = {}
+        came: Dict[int, Set[int]] = {}
+        for lo, hi, new_lo, new_hi in plan:
+            for key, fid in zip(self.keys[lo:hi], self.row_facts[lo:hi]):
+                gone.setdefault(key, set()).add(fid)
+            for key, fid in zip(keys[new_lo:new_hi], row_facts[new_lo:new_hi]):
+                came.setdefault(key, set()).add(fid)
+        rows_by_key = dict(self._rows_by_key)
+        combos = dict(self.combos())
+        groups = None if self._groups is None else dict(self._groups)
+        facts_of = self._index.facts_of_ids
+        for key in gone.keys() | came.keys():
+            left = gone.get(key, set()) - came.get(key, set())
+            joined = came.get(key, set()) - gone.get(key, set())
+            if not left and not joined:
+                continue
+            fids = list(rows_by_key.get(key, ()))
+            for fid in left:
+                del fids[bisect_left(fids, fid)]
+            for fid in joined:
+                insort(fids, fid)
+            combo = (combos[key] if key in combos
+                     else _decode_key(self._decodes, key))
+            if not fids:
+                del rows_by_key[key], combos[key]
+                if groups is not None:
+                    del groups[combo]
+                continue
+            rows_by_key[key] = fids
+            combos[key] = combo
+            if groups is not None:
+                members = groups.get(combo)
+                groups[combo] = (
+                    frozenset(facts_of(fids)) if members is None
+                    else members.difference(facts_of(left)).union(
+                        facts_of(joined)))
+        out._rows_by_key = rows_by_key
+        out._combos = combos
+        out._groups = groups
 
     def measure_rows(self, dimension_name: str,
                      column: MeasureColumn) -> MeasureRows:
@@ -377,7 +514,14 @@ class ColumnarStore:
     combo tuples follow it) and stamped with the MO's fact-set version
     plus the grouped dimensions' order/relation version pairs; measure
     columns are stamped with the relation version and fact-set version.
-    Stale entries are rebuilt on access, never served.
+    Stale entries are never served: on access they are patched from the
+    change logs (the relations' and ``mo.fact_log``), recomputing only
+    the facts the span since their stamp touched, or rebuilt when the
+    span holds a barrier, an order change or a log gap, when it touches
+    too many facts, when a touched fact's value falls outside a
+    layout's code tables, or when the index's ``delta_enabled`` is off.
+    A patch returns a new object, so holders of the old one keep a
+    consistent snapshot.
     """
 
     def __init__(self, index: RollupIndex) -> None:
@@ -407,7 +551,7 @@ class ColumnarStore:
                  ) -> Optional[ColumnarGrouping]:
         """The columnar layout of a grouping (category per dimension;
         ⊤ categories are radix-1 components).  Served from cache while
-        fresh, rebuilt otherwise; ``None`` when the radix product
+        fresh, patched or rebuilt otherwise; ``None`` when the radix product
         overflows :data:`MAX_COMPOSED_KEY` (fall back to the object
         path)."""
         items = tuple(grouping.items())
@@ -416,11 +560,75 @@ class ColumnarStore:
         if entry is not None and entry.stamp == stamp:
             _HITS.inc()
             return entry
-        entry = self._build_grouping(items, stamp)
+        if entry is not None:
+            entry = self._patch_grouping(entry, stamp)
         if entry is None:
-            return None
+            entry = self._build_grouping(items, stamp)
+            if entry is None:
+                return None
         self._groupings[items] = entry
         return entry
+
+    def _touched(self, facts_version: int,
+                 relations: Iterable[Tuple[str, int]]) -> Optional[Set[int]]:
+        """The ids of every fact a write since ``facts_version`` (and,
+        per ``(dimension, relation version)``, since that version)
+        inserted or related — the only facts whose rows or measures can
+        differ — or ``None`` when a log cannot replay its span (an aged
+        out entry or a barrier) or the index's ``delta_enabled`` is
+        off."""
+        if not self._index.delta_enabled:
+            return None
+        mo = self._index.mo
+        ops = mo.fact_log.since(facts_version, mo.facts_version)
+        if ops is None:
+            return None
+        facts: List[Fact] = [fact for _, fact in ops]
+        for name, version in relations:
+            relation = mo.relation(name)
+            ops = relation.change_log.since(version, relation.version)
+            if ops is None:
+                return None
+            facts.extend(fact for _, fact, _ in ops)
+        return set(map(self._index.fact_id, facts))
+
+    def _patch_grouping(self, entry: ColumnarGrouping, stamp: tuple
+                        ) -> Optional[ColumnarGrouping]:
+        """``entry`` brought to ``stamp`` by recomposing only the touched
+        facts' rows with the entry's own code tables, or ``None`` when
+        only a rebuild is exact (see the class docstring)."""
+        old_facts_version, old_versions = entry.stamp
+        if [order for order, _ in old_versions] != \
+                [order for order, _ in stamp[1]]:
+            return None  # an order change can move every fact
+        names = [name for name, _ in entry.items]
+        touched = self._touched(old_facts_version, zip(
+            names, (relation for _, relation in old_versions)))
+        if touched is None or len(touched) > max(16, len(entry.keys) // 2):
+            return None
+        index = self._index
+        digits: List[KeyDigit] = []
+        for (name, category), code, decode in zip(
+                entry.items, entry._codes, entry._decodes):
+            if code is None:  # ⊤: digit 0 for every fact
+                digits.append(KeyDigit(name, 1, None, {}, {}, decode))
+                continue
+            column, multi = index.grouping_value_id_array(name, category)
+            for fid in touched:
+                vid = column[fid] if fid < len(column) else UNCHARACTERIZED
+                vids = multi[fid] if vid == MULTI_VALUED else (vid,)
+                if any(v >= 0 and v not in code for v in vids):
+                    return None  # a new value: a fresh build's codes differ
+            digits.append(KeyDigit(name, len(decode), column, multi, code,
+                                   decode))
+        with trace.span("columnar.patch", grouping=entry.items,
+                        facts=len(touched)):
+            order = sorted(touched)
+            in_f = index.mo_fact_ids()
+            keys, row_facts = _compose_keys(
+                digits, [fid for fid in order if fid in in_f])
+            _PATCHES.inc()
+            return entry.patched(order, keys, row_facts, stamp)
 
     def _build_grouping(self, items: Tuple[Tuple[str, str], ...],
                         stamp: tuple) -> Optional[ColumnarGrouping]:
@@ -435,24 +643,66 @@ class ColumnarStore:
             _BUILDS.inc()
             return ColumnarGrouping(
                 index, self, items, keys, row_facts,
-                [digit.decode for digit in digits], stamp)
+                [digit.decode for digit in digits],
+                [None if digit.column is None else digit.code
+                 for digit in digits], stamp)
 
     def measure_column(self, dimension_name: str) -> MeasureColumn:
-        """The per-fact measure summaries of one dimension, rebuilt when
-        the dimension's relation or the MO's fact set moved."""
+        """The per-fact measure summaries of one dimension, patched or
+        rebuilt when the dimension's relation or the MO's fact set
+        moved."""
         index = self._index
         mo = index.mo
         stamp = (mo.relation(dimension_name).version, mo.facts_version)
         cached = self._measures.get(dimension_name)
         if cached is not None and cached.stamp == stamp:
             return cached
-        _MEASURE_BUILDS.inc()
-        fact_ids = index.mo_fact_ids()
-        size = (max(fact_ids) + 1) if fact_ids else 0
-        column = MeasureColumn(size, stamp)
+        column = (None if cached is None else
+                  self._patch_measure_column(dimension_name, cached, stamp))
+        if column is None:
+            _MEASURE_BUILDS.inc()
+            fact_ids = index.mo_fact_ids()
+            column = MeasureColumn(
+                (max(fact_ids) + 1) if fact_ids else 0, stamp)
+            self._fill(column, dimension_name, mo.facts)
+        if column.error is not None:
+            _MEASURE_POISONED.inc()
+        self._measures[dimension_name] = column
+        return column
+
+    def _patch_measure_column(self, dimension_name: str,
+                              cached: MeasureColumn, stamp: Tuple[int, int]
+                              ) -> Optional[MeasureColumn]:
+        """A copy of ``cached`` with the touched facts' cells redone, or
+        ``None`` when only a rebuild is exact."""
+        relation_version, facts_version = cached.stamp
+        touched = self._touched(facts_version,
+                                [(dimension_name, relation_version)])
+        if touched is None or \
+                len(touched) > max(16, len(cached.counts) // 2):
+            return None
+        touched &= self._index.mo_fact_ids()  # F's facts have cells
+        column = cached.grown_copy(
+            max(len(cached.counts), max(touched, default=-1) + 1), stamp)
+        for fid in touched:
+            column.counts[fid] = 0
+            column.sums[fid] = column.mins[fid] = column.maxs[fid] = 0.0
+        column.poisoned -= touched
+        if not column.poisoned:
+            column.error = None
+        self._fill(column, dimension_name, self._index.facts_of_ids(touched))
+        return column
+
+    def _fill(self, column: MeasureColumn, dimension_name: str,
+              facts: Iterable[Fact]) -> None:
+        """Write each fact's measure summary into its cells of
+        ``column``."""
+        index = self._index
+        mo = index.mo
         counts, sums = column.counts, column.sums
         mins, maxs = column.mins, column.maxs
-        for fact in mo.facts:
+        for fact in facts:
+            fid = index.fact_id(fact)
             try:
                 ms = measures_of(mo, dimension_name, fact)
             except AlgebraError as exc:
@@ -460,15 +710,10 @@ class ColumnarStore:
                 # refuse the column so the object path raises exactly
                 # when a bad fact is actually grouped
                 column.error = exc
-                column.poisoned.add(index.fact_id(fact))
+                column.poisoned.add(fid)
                 continue
             if ms:
-                fid = index.fact_id(fact)
                 counts[fid] = len(ms)
                 sums[fid] = sum(ms)
                 mins[fid] = min(ms)
                 maxs[fid] = max(ms)
-        if column.error is not None:
-            _MEASURE_POISONED.inc()
-        self._measures[dimension_name] = column
-        return column

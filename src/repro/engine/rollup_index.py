@@ -34,7 +34,8 @@ against the naive oracle.
 from __future__ import annotations
 
 from array import array
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import (Dict, FrozenSet, Iterable, List, Mapping, Optional, Set,
+                    Tuple)
 
 from repro.core.dimension import Dimension
 from repro.core.errors import InstanceError
@@ -76,6 +77,17 @@ _STRICT_HIT = metrics.counter("rollup_index.strictness.hit")
 _STRICT_MISS = metrics.counter("rollup_index.strictness.miss")
 
 _EMPTY_IDS: FrozenSet[int] = frozenset()
+
+
+def _memo_get(memo: Mapping[tuple, tuple], key: tuple, stamp: object):
+    """A version-keyed memo's answer to ``key`` if it was computed at
+    ``stamp``, else ``None``.  The memos hold one ``(stamp, answer)``
+    per question, overwritten when stale, so they stay as large as the
+    set of questions asked instead of growing with every write."""
+    found = memo.get(key)
+    if found is not None and found[0] == stamp:
+        return found[1]
+    return None
 
 
 class _DimensionIndex:
@@ -185,17 +197,20 @@ class RollupIndex:
         self._facts = InternTable()
         self._value_tables: Dict[str, InternTable] = {}
         self._dims: Dict[str, _DimensionIndex] = {}
-        self._verdicts: Dict[tuple, SummarizabilityCheck] = {}
-        self._coverage: Dict[tuple, bool] = {}
-        self._strictness: Dict[tuple, bool] = {}
+        #: question → (version stamp, answer), see :func:`_memo_get`
+        self._verdicts: Dict[tuple, Tuple[tuple, SummarizabilityCheck]] = {}
+        self._coverage: Dict[tuple, Tuple[tuple, bool]] = {}
+        self._strictness: Dict[tuple, Tuple[object, bool]] = {}
         self._mo_fact_ids: Optional[FrozenSet[int]] = None
         self._mo_facts_version = -1
         self._columnar = None
         self._builds = 0
         self._deltas = 0
-        #: apply small mutations as closure deltas instead of per-
-        #: dimension rebuilds; disable to force the full-rebuild path
-        #: (the benchmarks and the delta-equivalence tests do).
+        #: apply small mutations as deltas instead of rebuilds, in
+        #: every layer over this index: closures, id-level category
+        #: views, and the columnar store's layouts and measure columns.
+        #: Disable to force the full-rebuild path everywhere (the
+        #: benchmarks and the delta-equivalence tests do).
         self.delta_enabled = True
 
     @property
@@ -274,6 +289,11 @@ class RollupIndex:
         Removals log barriers and fall back to the full rebuild, as do
         spans the bounded logs no longer cover and batches so large the
         one-sweep rebuild is the cheaper computation.
+
+        A relation add changes only its own fact's row of the id-level
+        category views, so those are patched (:meth:`_patch_id_views`);
+        an edge can move many facts, so the categories it touches drop
+        every view.
         """
         order = dimension.order
         order_ops = order.change_log.since(entry.order_version,
@@ -289,7 +309,7 @@ class RollupIndex:
         values = entry.values
         closure = entry.closure
         top = dimension.top_value
-        affected: Set[DimensionValue] = set()
+        added: Dict[int, Set[DimensionValue]] = {}
         with trace.span("rollup_index.delta", dimension=dimension_name,
                         ops=n_ops):
             for op in relation_ops:  # ("add", fact, value)
@@ -301,7 +321,12 @@ class RollupIndex:
                 for target in targets:
                     vid = values.intern(target)
                     closure[vid] = closure.get(vid, _EMPTY_IDS) | {fid}
-                affected |= targets
+                added.setdefault(fid, set()).update(targets)
+            self._patch_id_views(entry, dimension, added)
+            self._evict_affected(entry, dimension,
+                                 set().union(*added.values()),
+                                 id_views=False)
+            affected: Set[DimensionValue] = set()
             for op in order_ops:  # ("node", n) | ("edge", child, parent)
                 if op[0] == "node":
                     # no closure flow, but the node's category map must
@@ -319,7 +344,7 @@ class RollupIndex:
                         existing = closure.get(vid, _EMPTY_IDS)
                         closure[vid] = existing | flowing
                 affected |= targets
-            self._evict_affected(entry, dimension, affected)
+            self._evict_affected(entry, dimension, affected, id_views=True)
         entry.order_version = order.version
         entry.relation_version = relation.version
         self._deltas += 1
@@ -327,14 +352,66 @@ class RollupIndex:
         _DELTA_OPS.observe(n_ops)
         return True
 
+    def _patch_id_views(self, entry: _DimensionIndex, dimension: Dimension,
+                        added: Dict[int, Set[DimensionValue]]) -> None:
+        """Fold relation adds into the id-level category views: each
+        fact id in ``added`` gains the ids of the values it now rolls up
+        to (the added value and its ancestors), category by category.
+        A patched view is a new object (copy-on-patch), so a holder of
+        the old one keeps a consistent snapshot; its dense array grows
+        to the interned fact count, as a fresh build's would."""
+        by_category: Dict[str, Dict[int, Set[int]]] = {}
+        categories: Dict[DimensionValue, Optional[str]] = {}
+        for fid, targets in added.items():
+            for target in targets:
+                if target not in categories:
+                    try:
+                        categories[target] = dimension.category_name_of(
+                            target)
+                    except InstanceError:
+                        categories[target] = None  # outside the dimension
+                category_name = categories[target]
+                if category_name is not None:
+                    by_category.setdefault(category_name, {}).setdefault(
+                        fid, set()).add(entry.values.intern(target))
+        for category_name, gained in by_category.items():
+            id_map = entry.per_fact_id_maps.get(category_name)
+            if id_map is None:
+                # the dense array is derived from the map: rebuild both
+                entry.id_array_maps.pop(category_name, None)
+                continue
+            id_map = dict(id_map)
+            for fid, vids in gained.items():
+                vids.update(id_map.get(fid, ()))
+                id_map[fid] = tuple(sorted(vids))
+            entry.per_fact_id_maps[category_name] = id_map
+            arrays = entry.id_array_maps.get(category_name)
+            if arrays is None:
+                continue
+            column = array("q", arrays[0])
+            column.extend(array("q", [UNCHARACTERIZED])
+                          * (len(self._facts) - len(column)))
+            multi = dict(arrays[1])
+            for fid in gained:
+                vids = id_map[fid]
+                if len(vids) == 1:
+                    column[fid] = vids[0]
+                else:
+                    column[fid] = MULTI_VALUED
+                    multi[fid] = vids
+            entry.id_array_maps[category_name] = (column, multi)
+
     @staticmethod
     def _evict_affected(entry: _DimensionIndex, dimension: Dimension,
-                        affected: Set[DimensionValue]) -> None:
+                        affected: Set[DimensionValue],
+                        id_views: bool) -> None:
         """Surgically drop the lazily built views a delta invalidated:
         the per-value fact-set views of the touched values, and the
-        category-level maps of every category containing one.  Values a
-        relation mentions outside the dimension (hand-built relations)
-        belong to no category, so only their fact-set view drops."""
+        category-level maps of every category containing one (the
+        id-level views too when ``id_views``; relation adds patch them
+        instead).  Values a relation mentions outside the dimension
+        (hand-built relations) belong to no category, so only their
+        fact-set view drops."""
         categories: Set[str] = set()
         for value in affected:
             vid = entry.values.id_of(value)
@@ -347,9 +424,10 @@ class RollupIndex:
         for category_name in categories:
             entry.category_maps.pop(category_name, None)
             entry.per_fact_maps.pop(category_name, None)
-            entry.per_fact_id_maps.pop(category_name, None)
-            entry.id_array_maps.pop(category_name, None)
             entry.nonempty_maps.pop(category_name, None)
+            if id_views:
+                entry.per_fact_id_maps.pop(category_name, None)
+                entry.id_array_maps.pop(category_name, None)
 
     def is_fresh(self, dimension_name: str) -> bool:
         """Whether the dimension's table exists and matches the current
@@ -379,21 +457,21 @@ class RollupIndex:
         Untimed verdicts come from cached per-dimension pieces
         (:meth:`_fact_paths_strict`, :meth:`_partitioning_up_to`);
         :func:`~repro.core.properties.check_summarizability` stays the
-        oracle and answers timed (``at``) verdicts.  The cache key is
-        the grouping plus the grouped dimensions' order/relation
-        versions and the fact-set version, so a relevant mutation
-        misses the cache and re-checks.
+        oracle and answers timed (``at``) verdicts.  The cache is keyed
+        by the question (grouping, distributivity, ``at``) and stamped
+        with the grouped dimensions' order/relation versions and the
+        fact-set version, so a relevant mutation misses the cache,
+        re-checks and overwrites the stale answer.
         """
         names = tuple(sorted(grouping))
-        key = (
-            tuple((name, grouping[name]) for name in names),
-            distributive,
-            at,
+        key = (tuple((name, grouping[name]) for name in names),
+               distributive, at)
+        stamp = (
             tuple((self._mo.dimension(name).order.version,
                    self._mo.relation(name).version) for name in names),
             self._mo.facts_version,
         )
-        verdict = self._verdicts.get(key)
+        verdict = _memo_get(self._verdicts, key, stamp)
         if verdict is not None:
             _SUMM_HIT.inc()
             return verdict
@@ -411,30 +489,30 @@ class RollupIndex:
             else:
                 verdict = check_summarizability(self._mo, dict(grouping),
                                                 distributive, at=at)
-        self._verdicts[key] = verdict
+        self._verdicts[key] = (stamp, verdict)
         return verdict
 
     def _fact_paths_strict(self, dimension_name: str,
                            category_name: str) -> bool:
         """Definition 2's strict-path condition (no fact of ``F``
         characterized by two values of the category), answered from the
-        cached per-fact grouping-id map and memoized per version
-        triple."""
+        cached per-fact grouping-id map and memoized against the
+        version triple."""
         dimension = self._mo.dimension(dimension_name)
         if category_name == dimension.dtype.top_name:
             return True
-        key = (dimension_name, "*paths*", category_name,
-               dimension.order.version,
-               self._mo.relation(dimension_name).version,
-               self._mo.facts_version)
-        cached = self._strictness.get(key)
+        key = (dimension_name, "*paths*", category_name)
+        stamp = (dimension.order.version,
+                 self._mo.relation(dimension_name).version,
+                 self._mo.facts_version)
+        cached = _memo_get(self._strictness, key, stamp)
         if cached is None:
             id_map = self.grouping_value_ids_per_fact(dimension_name,
                                                       category_name)
             multi = [fid for fid, vids in id_map.items() if len(vids) > 1]
             # a relation may mention facts outside F; only F's count
             cached = not multi or self.mo_fact_ids().isdisjoint(multi)
-            self._strictness[key] = cached
+            self._strictness[key] = (stamp, cached)
         return cached
 
     def _partitioning_up_to(self, dimension_name: str,
@@ -447,9 +525,9 @@ class RollupIndex:
         iff its cached ancestors meet a Pred category.  Cached per
         order version."""
         dimension = self._mo.dimension(dimension_name)
-        key = (dimension_name, "*partitioning*", category_name,
-               dimension.order.version)
-        cached = self._strictness.get(key)
+        key = (dimension_name, "*partitioning*", category_name)
+        stamp = dimension.order.version
+        cached = _memo_get(self._strictness, key, stamp)
         if cached is not None:
             _STRICT_HIT.inc()
             return cached
@@ -473,7 +551,7 @@ class RollupIndex:
                    for value in dimension.category(name).members()):
                 result = False
                 break
-        self._strictness[key] = result
+        self._strictness[key] = (stamp, result)
         return result
 
     # -- hierarchy properties ----------------------------------------------
@@ -488,9 +566,9 @@ class RollupIndex:
         by the dimension's order version (category membership bumps the
         order counter too, via ``add_node``)."""
         dimension = self._mo.dimension(dimension_name)
-        key = (dimension_name, lower_category, upper_category,
-               dimension.order.version)
-        cached = self._strictness.get(key)
+        key = (dimension_name, "*mapping*", lower_category, upper_category)
+        stamp = dimension.order.version
+        cached = _memo_get(self._strictness, key, stamp)
         if cached is not None:
             _STRICT_HIT.inc()
             return cached
@@ -504,7 +582,7 @@ class RollupIndex:
             if len(parents) > 1:
                 result = False
                 break
-        self._strictness[key] = result
+        self._strictness[key] = (stamp, result)
         return result
 
     def hierarchy_strict(self, dimension_name: str) -> bool:
@@ -513,8 +591,9 @@ class RollupIndex:
         repeated queries (the analyzer, the pre-aggregate store) answer
         from the per-pair cache."""
         dimension = self._mo.dimension(dimension_name)
-        key = (dimension_name, "*hierarchy*", dimension.order.version)
-        cached = self._strictness.get(key)
+        key = (dimension_name, "*hierarchy*")
+        stamp = dimension.order.version
+        cached = _memo_get(self._strictness, key, stamp)
         if cached is not None:
             _STRICT_HIT.inc()
             return cached
@@ -526,7 +605,7 @@ class RollupIndex:
             for lower in names for upper in names
             if lower != upper and dtype.leq(lower, upper)
         )
-        self._strictness[key] = result
+        self._strictness[key] = (stamp, result)
         return result
 
     def hierarchy_partitioning(self, dimension_name: str) -> bool:
@@ -661,20 +740,18 @@ class RollupIndex:
         Schema-level Lenz-Shoshani verdicts imply this but are coarser:
         a grouping can fail the verdict because of *another* dimension
         (or another branch of this one) while this particular pair of
-        levels combines exactly.  Cached keyed by the dimension's
-        version pair plus the fact-set version (the target map at ⊤ is
-        the MO's whole fact set).
+        levels combines exactly.  Cached per level pair, stamped with
+        the dimension's version pair plus the fact-set version (the
+        target map at ⊤ is the MO's whole fact set).
         """
         if stored_category == target_category:
             return True
         dimension = self._mo.dimension(dimension_name)
-        key = (
-            dimension_name, stored_category, target_category,
-            dimension.order.version,
-            self._mo.relation(dimension_name).version,
-            self._mo.facts_version,
-        )
-        cached = self._coverage.get(key)
+        key = (dimension_name, stored_category, target_category)
+        stamp = (dimension.order.version,
+                 self._mo.relation(dimension_name).version,
+                 self._mo.facts_version)
+        cached = _memo_get(self._coverage, key, stamp)
         if cached is not None:
             _COVERAGE_HIT.inc()
             return cached
@@ -711,7 +788,7 @@ class RollupIndex:
                     target_map.get(fact, ())):
                 result = False
                 break
-        self._coverage[key] = result
+        self._coverage[key] = (stamp, result)
         return result
 
     def group_counts(self, dimension_name: str,
@@ -843,10 +920,11 @@ class RollupIndex:
         for facts whose id-sorted value tuple lives in the side map.
 
         Fact ids at or beyond ``len(array)`` were interned after the
-        array was built and are necessarily uncharacterized here (a new
-        characterization in this dimension would have bumped the
-        relation version and evicted the cache).  Kernel setup reads
-        this with zero per-object hashing.  Treat both parts as
+        array was built or last patched and are necessarily
+        uncharacterized here (a new characterization in this dimension
+        would have bumped the relation version, and the delta that
+        replays it patches a grown copy of the array).  Kernel setup
+        reads this with zero per-object hashing.  Treat both parts as
         read-only.
         """
         entry = self._entry(dimension_name)

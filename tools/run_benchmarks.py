@@ -641,7 +641,8 @@ def _metrics_snapshot(mo, generated) -> dict:
     """One instrumented pass of the indexed operations, observed via
     the obs counters: reset, run, snapshot.  Timing is done above with
     warm caches; this pass shows *why* the indexed paths are fast
-    (hit/miss ratios, answer paths, parent rollups, closure deltas)."""
+    (hit/miss ratios, answer paths, parent rollups, closure deltas,
+    layout patches)."""
     metrics.reset()
     indexed_group_counts(mo)
     run_aggregate(mo, use_index=True)
@@ -664,9 +665,13 @@ def _metrics_snapshot(mo, generated) -> dict:
     clone = mo.copy()
     index = clone.rollup_index()
     index.group_counts(ROLLUP_DIMENSION, ROLLUP_CATEGORY)
+    _pushdown_query(clone).execute(check=False, cache=False)
     clone.relate(generated.patients[0], ROLLUP_DIMENSION,
                  generated.icd.low_levels[0])
     index.group_counts(ROLLUP_DIMENSION, ROLLUP_CATEGORY)
+    # the read after the write patches the clone's columnar layout, so
+    # the snapshot shows columnar.patch > 0
+    _pushdown_query(clone).execute(check=False, cache=False)
     return metrics.snapshot()
 
 
