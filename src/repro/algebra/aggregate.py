@@ -31,7 +31,7 @@ import warnings
 from itertools import product
 from typing import AbstractSet, Dict, List, Optional, Set, Tuple
 
-from repro.algebra.functions import AggregationFunction
+from repro.algebra.functions import AggregationFunction, is_distributive
 from repro.core.aggtypes import AggregationType, min_aggtype
 from repro.core.category import CategoryType
 from repro.core.dimension import Dimension, DimensionType
@@ -457,10 +457,10 @@ def aggregate(
         # version-keyed verdict cache: the check re-scans hierarchies and
         # base mappings, which dominates repeated aggregate formations
         summarizability = mo.rollup_index().summarizability(
-            nontrivial, function.distributive, at=at)
+            nontrivial, is_distributive(function), at=at)
     else:
         summarizability = check_summarizability(
-            mo, nontrivial, function.distributive, at=at)
+            mo, nontrivial, is_distributive(function), at=at)
     if summarizability.summarizable:
         bottom_aggtype = min_aggtype(
             mo.dimension(d).dtype.bottom.aggtype for d in function.args
@@ -571,7 +571,7 @@ def summarizability_of(
         if cat != mo.dimension(name).dtype.top_name
     }
     return mo.rollup_index().summarizability(
-        nontrivial, function.distributive, at=at)
+        nontrivial, is_distributive(function), at=at)
 
 
 __all__ += ["summarizability_of"]

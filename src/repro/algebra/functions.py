@@ -9,8 +9,10 @@ data for the facts in the relevant fact-dimension relations".
 Each function here carries:
 
 * ``args`` — the argument dimension names (the paper's ``Args(g)``);
-* ``distributive`` — whether the function is distributive, one of the
-  three Lenz-Shoshani summarizability conditions;
+* ``distributive`` — whether the function declares itself
+  distributive, one of the three Lenz-Shoshani summarizability
+  conditions (readers take :func:`is_distributive`, which the analyzer
+  can refute);
 * ``required_function`` — which SQL function class it belongs to, so the
   aggregation-type mechanism can check ``g ∈ min_{j∈Args(g)}
   (Aggtype(⊥_{D_j}))``;
@@ -47,6 +49,7 @@ __all__ = [
     "SumProduct",
     "measures_of",
     "has_batch_kernel",
+    "is_distributive",
 ]
 
 
@@ -162,6 +165,19 @@ def has_batch_kernel(function: AggregationFunction) -> bool:
     the plan analyzer use this to predict kernel vs object-path
     evaluation without running anything."""
     return type(function).batch_apply is not AggregationFunction.batch_apply
+
+
+def is_distributive(function: AggregationFunction) -> bool:
+    """The one distributivity verdict the summarizability readers (α's
+    aggtype rule, the pre-aggregate store, the cube, the recommender,
+    the schema analyzer) take: the ``distributive`` declaration, unless
+    :func:`~repro.analyze.shardability.classify_function` refutes it (a
+    ``combine`` that disagrees with ``apply`` on synthesized
+    partitions, MD076).  Cached per function type and args."""
+    # the analyzer imports this module: import it on first use
+    from repro.analyze.shardability import classify_function
+    return function.distributive and \
+        classify_function(function).merge_check is not False
 
 
 class SetCount(AggregationFunction):

@@ -29,7 +29,7 @@ from repro.analyze.diagnostics import AnalysisReport
 from repro.core.dimension import Dimension, DimensionType
 from repro.core.mo import MultidimensionalObject
 from repro.core.schema import FactSchema
-from repro.algebra.functions import AggregationFunction
+from repro.algebra.functions import AggregationFunction, is_distributive
 from repro.temporal.chronon import Chronon
 from repro.temporal.timeset import EMPTY
 
@@ -67,7 +67,7 @@ def intensional_summarizability(
     declarations**; :func:`static_summarizability` upgrades this to an
     absolute guarantee by confirming them against the extension.
     Anything undeclared is ``UNKNOWN``."""
-    if not function.distributive:
+    if not is_distributive(function):
         return StaticVerdict.UNSAFE
     verdict = StaticVerdict.SAFE
     for name in grouping:
@@ -90,7 +90,7 @@ def grouping_summarizability(
     independent of which function merges the partials.
 
     This is what the shardability analysis needs for ALGEBRAIC
-    functions (e.g. AVG): ``function.distributive`` is False — so
+    functions (e.g. AVG): ``is_distributive(function)`` is False — so
     :func:`static_summarizability` would answer ``UNSAFE`` outright —
     yet the *grouping* can still be safe to partition-and-merge once
     the function is decomposed into distributive accumulators.  Same
@@ -125,7 +125,7 @@ def static_summarizability(
     :func:`~repro.core.properties.check_summarizability` passes"
     holds even for drifted declarations — drift demotes the
     answer to ``UNKNOWN`` and is reported by :func:`analyze_schema`)."""
-    if not function.distributive:
+    if not is_distributive(function):
         return StaticVerdict.UNSAFE
     return grouping_summarizability(mo, grouping)
 

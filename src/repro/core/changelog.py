@@ -5,13 +5,12 @@ per-dimension closure tables by comparing mutation counters.  Counters
 alone only say *that* something changed; to apply a mutation as a
 *delta* — patching the existing closures instead of rebuilding them —
 the index also needs to know *what* changed.  A :class:`ChangeLog`
-records one entry per counter bump: the operation payload for
-delta-able mutations (an added fact-dimension pair, an added order
-edge/node), or a *barrier* (``None``) for mutations no delta covers
-(fact removal).  The log is bounded: when more mutations happen between
-two index queries than the log holds, :meth:`since` reports a gap and
-the index falls back to a full rebuild — the log never affects
-correctness, only whether the cheap path is available.
+records one entry per counter bump: the operation payload (an added
+fact-dimension pair, the values a fact removal dropped, an added order
+edge/node, an inserted fact).  The log is bounded: when more mutations
+happen between two index queries than the log holds, :meth:`since`
+reports a gap and the index falls back to a full rebuild — the log
+never affects correctness, only whether the cheap path is available.
 """
 
 from __future__ import annotations
@@ -33,27 +32,23 @@ class ChangeLog:
     Entries are ``(version, op)`` with strictly increasing versions —
     the structure records exactly one entry per counter increment, so a
     contiguity check is a plain count.  ``op`` is an opaque payload the
-    consumer interprets; ``None`` marks a barrier (a non-delta-able
-    mutation).
+    consumer interprets.
     """
 
     __slots__ = ("_entries",)
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
-        self._entries: Deque[Tuple[int, Optional[tuple]]] = deque(
-            maxlen=capacity)
+        self._entries: Deque[Tuple[int, tuple]] = deque(maxlen=capacity)
 
-    def record(self, version: int, op: Optional[tuple]) -> None:
-        """Log the operation that produced ``version`` (``None`` = a
-        barrier: consumers must rebuild across it)."""
+    def record(self, version: int, op: tuple) -> None:
+        """Log the operation that produced ``version``."""
         self._entries.append((version, op))
 
     def since(self, version: int,
               current: int) -> Optional[List[tuple]]:
         """The ops for every bump in ``(version, current]``, oldest
         first — or ``None`` when the log cannot prove it covers the
-        whole span (an entry aged out of the bounded log) or a barrier
-        sits inside it.
+        whole span (an entry aged out of the bounded log).
 
         Reads only the span: with one entry per bump, ``(version,
         current]`` is the newest ``current - version`` entries, so the
@@ -68,8 +63,6 @@ class ChangeLog:
         ops = [op for _, op in islice(reversed(entries), wanted)]
         if entries[-wanted][0] != version + 1:
             return None  # the versions skip: coverage unprovable
-        if None in ops:
-            return None  # a barrier: this span includes a non-delta-able op
         ops.reverse()
         return ops
 

@@ -53,7 +53,8 @@ class FactDimensionRelation:
     def version(self) -> int:
         """A mutation counter: bumped on every effective :meth:`add` /
         :meth:`remove_fact`.  The rollup index compares it to the version
-        captured at build time to invalidate stale closures lazily.
+        captured at build time and replays the :attr:`change_log` span
+        between the two onto its closures.
 
         Derived relations (:meth:`union`, :meth:`restricted_to_facts`,
         :meth:`copy`) are fresh objects whose counters start over — they
@@ -66,9 +67,9 @@ class FactDimensionRelation:
     @property
     def change_log(self) -> ChangeLog:
         """The bounded per-bump mutation log: ``("add", fact, value)``
-        entries for pair additions, barriers for :meth:`remove_fact` —
-        the rollup index replays additions as closure deltas and falls
-        back to a full rebuild across barriers."""
+        for a pair addition and ``("remove", fact, values)`` for a
+        :meth:`remove_fact`, with every value the fact lost — the rollup
+        index and the columnar layouts replay both as deltas."""
         return self._log
 
     # -- population -------------------------------------------------------
@@ -114,7 +115,7 @@ class FactDimensionRelation:
                     del self._by_value[value]
         if removed:
             self._version += 1
-            self._log.record(self._version, None)  # not delta-able
+            self._log.record(self._version, ("remove", fact, removed))
 
     # -- base-pair queries --------------------------------------------------
 

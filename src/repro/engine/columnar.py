@@ -516,10 +516,11 @@ class ColumnarStore:
     columns are stamped with the relation version and fact-set version.
     Stale entries are never served: on access they are patched from the
     change logs (the relations' and ``mo.fact_log``), recomputing only
-    the facts the span since their stamp touched, or rebuilt when the
-    span holds a barrier, an order change or a log gap, when it touches
-    too many facts, when a touched fact's value falls outside a
-    layout's code tables, or when the index's ``delta_enabled`` is off.
+    the facts the span since their stamp touched — removals included —
+    or rebuilt when the span holds an order change or a log gap, when
+    it touches too many facts, when a touched fact's value falls
+    outside a layout's code tables or a coded value lost its last fact,
+    or when the index's ``delta_enabled`` is off.
     A patch returns a new object, so holders of the old one keep a
     consistent snapshot.
     """
@@ -573,9 +574,9 @@ class ColumnarStore:
                  relations: Iterable[Tuple[str, int]]) -> Optional[Set[int]]:
         """The ids of every fact a write since ``facts_version`` (and,
         per ``(dimension, relation version)``, since that version)
-        inserted or related — the only facts whose rows or measures can
-        differ — or ``None`` when a log cannot replay its span (an aged
-        out entry or a barrier) or the index's ``delta_enabled`` is
+        inserted, related or unrelated — the only facts whose rows or
+        measures can differ — or ``None`` when a log cannot replay its
+        span (an aged out entry) or the index's ``delta_enabled`` is
         off."""
         if not self._index.delta_enabled:
             return None
@@ -619,6 +620,8 @@ class ColumnarStore:
                 vids = multi[fid] if vid == MULTI_VALUED else (vid,)
                 if any(v >= 0 and v not in code for v in vids):
                     return None  # a new value: a fresh build's codes differ
+            if not index.all_characterize(name, code):
+                return None  # a value lost its last fact: likewise
             digits.append(KeyDigit(name, len(decode), column, multi, code,
                                    decode))
         with trace.span("columnar.patch", grouping=entry.items,

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.algebra.functions import AggregationFunction, SetCount
+from repro.algebra.functions import (AggregationFunction, SetCount,
+                                     is_distributive)
 from repro.core.mo import MultidimensionalObject
 from repro.engine.preagg import PreAggregateStore
 from repro.obs import metrics, trace
@@ -159,7 +160,7 @@ class CubeBuilder:
         _SIZED.inc()
         with trace.span("cube.size", cuboid=key):
             verdict = self._store.summarizability(
-                self._nontrivial(key), self._function.distributive)
+                self._nontrivial(key), is_distributive(self._function))
             cuboid = Cuboid(
                 key=key,
                 dimension_names=self._dims,
@@ -198,7 +199,7 @@ class CubeBuilder:
             # the size straight from them instead of re-counting the
             # characterization maps
             verdict = self._store.summarizability(
-                nontrivial, self._function.distributive)
+                nontrivial, is_distributive(self._function))
             cuboid = Cuboid(
                 key=key,
                 dimension_names=self._dims,
@@ -246,7 +247,7 @@ class CubeBuilder:
         coarser-or-equal cuboids, provided the fine cuboid's grouping is
         summarizable (otherwise only the cuboid itself)."""
         fine_cuboid = self.cuboid(fine)
-        if not (fine_cuboid.summarizable and self._function.distributive):
+        if not (fine_cuboid.summarizable and is_distributive(self._function)):
             return {fine}
         return {
             key for key in self.cuboid_keys()

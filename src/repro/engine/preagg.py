@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import AbstractSet, Dict, List, Optional, Set, Tuple
 
-from repro.algebra.functions import AggregationFunction
+from repro.algebra.functions import AggregationFunction, is_distributive
 from repro.core.errors import AlgebraError
 from repro.core.mo import MultidimensionalObject
 from repro.core.properties import SummarizabilityCheck
@@ -185,7 +185,7 @@ class PreAggregateStore:
                     combo: function.apply(facts, self._mo)
                     for combo, facts in groups.items()
                 }
-            verdict = self._verdict(grouping, function.distributive)
+            verdict = self._verdict(grouping, is_distributive(function))
         materialized = MaterializedAggregate(
             grouping=dict(grouping),
             function_name=function.name,
@@ -275,7 +275,7 @@ class PreAggregateStore:
                 combo: function.combine(values)
                 for combo, values in partials.items()
             }
-            verdict = self._verdict(grouping, function.distributive)
+            verdict = self._verdict(grouping, is_distributive(function))
         materialized = MaterializedAggregate(
             grouping=dict(grouping),
             function_name=function.name,
@@ -410,7 +410,7 @@ class PreAggregateStore:
         byte-identity."""
         if not self._is_fresh(stored):
             return False
-        if not function.distributive:
+        if not is_distributive(function):
             return False
         if not target_grouping:
             # the apex cell is the whole fact set; the base path builds

@@ -24,7 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.algebra.functions import AggregationFunction, SetCount
+from repro.algebra.functions import (AggregationFunction, SetCount,
+                                     is_distributive)
 from repro.core.mo import MultidimensionalObject
 from repro.core.properties import check_summarizability
 from repro.engine.preagg import PreAggregateStore
@@ -84,7 +85,7 @@ def recommend_materializations(
     function = function or SetCount()
     requested = [dict(g) for g in groupings]
     verdicts = {
-        _key(g): check_summarizability(mo, g, function.distributive)
+        _key(g): check_summarizability(mo, g, is_distributive(function))
         for g in requested
     }
     recommendations: List[MaterializationRecommendation] = []

@@ -278,19 +278,20 @@ class RollupIndex:
         """Patch a stale entry's closures from the mutation logs instead
         of rebuilding — true on success.
 
-        Delta-able mutations are pure additions: a relation pair add
-        puts one fact id into the closures of the value and its (final-
-        order) ancestors plus ⊤; an order edge add flows the child's
-        closure into the parent and the parent's (final-order)
-        ancestors.  Relation adds are applied first, then edges in
-        insertion order, every step against the *final* order — each
-        newly reachable ``value → fact`` path is then covered by the
-        latest-inserted edge on it (or directly, for new facts).
-        Removals log barriers and fall back to the full rebuild, as do
-        spans the bounded logs no longer cover and batches so large the
-        one-sweep rebuild is the cheaper computation.
+        Relation ops replay first, in log order, every step against the
+        *final* order: an add puts the fact id into the closures of the
+        value, its ancestors and ⊤; a remove takes it out of the
+        closures of each value the fact lost, their ancestors and ⊤ —
+        every closure it was in, since the order only grows — and
+        resets its row before any later add refills it.  Order edges
+        then replay in insertion order, flowing the child's closure
+        into the parent and the parent's ancestors — each newly
+        reachable ``value → fact`` path is then covered by the latest-
+        inserted edge on it (or directly, for relation adds).  Spans the
+        bounded logs no longer cover and batches so large the one-sweep
+        rebuild is the cheaper computation fall back to the rebuild.
 
-        A relation add changes only its own fact's row of the id-level
+        A relation op changes only its own fact's row of the id-level
         category views, so those are patched (:meth:`_patch_id_views`);
         an edge can move many facts, so the categories it touches drop
         every view.
@@ -309,23 +310,39 @@ class RollupIndex:
         values = entry.values
         closure = entry.closure
         top = dimension.top_value
+
+        def reach(value: DimensionValue) -> Set[DimensionValue]:
+            targets = {value, top}
+            if value in order:
+                targets |= order.ancestors(value)
+            return targets
+
         added: Dict[int, Set[DimensionValue]] = {}
+        dropped: Dict[int, Set[DimensionValue]] = {}
         with trace.span("rollup_index.delta", dimension=dimension_name,
                         ops=n_ops):
-            for op in relation_ops:  # ("add", fact, value)
-                _, fact, value = op
+            for kind, fact, payload in relation_ops:
+                # ("add", fact, value) | ("remove", fact, values)
                 fid = facts.intern(fact)
-                targets = {value, top}
-                if value in order:
-                    targets |= order.ancestors(value)
-                for target in targets:
-                    vid = values.intern(target)
-                    closure[vid] = closure.get(vid, _EMPTY_IDS) | {fid}
-                added.setdefault(fid, set()).update(targets)
-            self._patch_id_views(entry, dimension, added)
-            self._evict_affected(entry, dimension,
-                                 set().union(*added.values()),
-                                 id_views=False)
+                if kind == "add":
+                    targets = reach(payload)
+                    for target in targets:
+                        vid = values.intern(target)
+                        closure[vid] = closure.get(vid, _EMPTY_IDS) | {fid}
+                    added.setdefault(fid, set()).update(targets)
+                else:
+                    targets = set().union(*map(reach, payload))
+                    for target in targets:
+                        known = values.id_of(target)
+                        if known is not None and known in closure:
+                            closure[known] = closure[known] - {fid}
+                    added[fid] = set()
+                    dropped.setdefault(fid, set()).update(targets)
+            self._patch_id_views(entry, dimension, added, dropped)
+            self._evict_affected(
+                entry, dimension,
+                set().union(*added.values(), *dropped.values()),
+                id_views=False)
             affected: Set[DimensionValue] = set()
             for op in order_ops:  # ("node", n) | ("edge", child, parent)
                 if op[0] == "node":
@@ -353,17 +370,20 @@ class RollupIndex:
         return True
 
     def _patch_id_views(self, entry: _DimensionIndex, dimension: Dimension,
-                        added: Dict[int, Set[DimensionValue]]) -> None:
-        """Fold relation adds into the id-level category views: each
+                        added: Dict[int, Set[DimensionValue]],
+                        dropped: Dict[int, Set[DimensionValue]]) -> None:
+        """Fold relation ops into the id-level category views: each
         fact id in ``added`` gains the ids of the values it now rolls up
-        to (the added value and its ancestors), category by category.
+        to (the added values and their ancestors), category by
+        category; a fact id in ``dropped`` first loses its row in the
+        categories of the values it rolled up to before its removal.
         A patched view is a new object (copy-on-patch), so a holder of
         the old one keeps a consistent snapshot; its dense array grows
         to the interned fact count, as a fresh build's would."""
         by_category: Dict[str, Dict[int, Set[int]]] = {}
         categories: Dict[DimensionValue, Optional[str]] = {}
         for fid, targets in added.items():
-            for target in targets:
+            for target in targets | dropped.get(fid, set()):
                 if target not in categories:
                     try:
                         categories[target] = dimension.category_name_of(
@@ -371,19 +391,26 @@ class RollupIndex:
                     except InstanceError:
                         categories[target] = None  # outside the dimension
                 category_name = categories[target]
-                if category_name is not None:
-                    by_category.setdefault(category_name, {}).setdefault(
-                        fid, set()).add(entry.values.intern(target))
-        for category_name, gained in by_category.items():
+                if category_name is None:
+                    continue
+                row = by_category.setdefault(category_name, {}).setdefault(
+                    fid, set())
+                if target in targets:
+                    row.add(entry.values.intern(target))
+        for category_name, rows in by_category.items():
             id_map = entry.per_fact_id_maps.get(category_name)
             if id_map is None:
                 # the dense array is derived from the map: rebuild both
                 entry.id_array_maps.pop(category_name, None)
                 continue
             id_map = dict(id_map)
-            for fid, vids in gained.items():
-                vids.update(id_map.get(fid, ()))
-                id_map[fid] = tuple(sorted(vids))
+            for fid, vids in rows.items():
+                if fid not in dropped:
+                    vids.update(id_map.get(fid, ()))
+                if vids:
+                    id_map[fid] = tuple(sorted(vids))
+                else:
+                    id_map.pop(fid, None)
             entry.per_fact_id_maps[category_name] = id_map
             arrays = entry.id_array_maps.get(category_name)
             if arrays is None:
@@ -392,13 +419,16 @@ class RollupIndex:
             column.extend(array("q", [UNCHARACTERIZED])
                           * (len(self._facts) - len(column)))
             multi = dict(arrays[1])
-            for fid in gained:
-                vids = id_map[fid]
+            for fid in rows:
+                vids = id_map.get(fid, ())
+                multi.pop(fid, None)
                 if len(vids) == 1:
                     column[fid] = vids[0]
-                else:
+                elif vids:
                     column[fid] = MULTI_VALUED
                     multi[fid] = vids
+                else:
+                    column[fid] = UNCHARACTERIZED
             entry.id_array_maps[category_name] = (column, multi)
 
     @staticmethod
@@ -895,6 +925,13 @@ class RollupIndex:
     def value_of(self, dimension_name: str, value_id: int) -> DimensionValue:
         """The value behind an interned value id of one dimension."""
         return self._value_tables[dimension_name].object_of(value_id)
+
+    def all_characterize(self, dimension_name: str,
+                         value_ids: Iterable[int]) -> bool:
+        """Whether every interned value id in ``value_ids`` still
+        characterizes some fact — a fresh layout codes exactly those."""
+        closure = self._entry(dimension_name).closure
+        return all(closure.get(vid) for vid in value_ids)
 
     def grouping_value_ids_per_fact(
         self, dimension_name: str, category_name: str

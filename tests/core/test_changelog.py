@@ -1,14 +1,14 @@
 """``ChangeLog.since``: the span ``(version, current]`` is the newest
-``current - version`` entries, and the log still refuses spans it
-cannot replay (aged-out entries, barriers)."""
+``current - version`` entries, removals included, and the log still
+refuses spans it cannot prove it covers (aged-out entries)."""
 
 from repro.core.changelog import ChangeLog
 
 
-def _log(n_entries, capacity=8, barriers=()):
+def _log(n_entries, capacity=8):
     log = ChangeLog(capacity=capacity)
     for version in range(1, n_entries + 1):
-        log.record(version, None if version in barriers else ("add", version))
+        log.record(version, ("add", version))
     return log
 
 
@@ -37,13 +37,10 @@ def test_span_past_the_newest_entry_is_a_gap():
     assert log.since(3, 6) is None
 
 
-def test_barrier_inside_the_span():
-    log = _log(6, barriers={4})
-    assert log.since(2, 6) is None  # in the middle
-    assert log.since(3, 6) is None  # the span's oldest entry
-    assert _log(4, barriers={4}).since(2, 4) is None  # its newest
-
-
-def test_barrier_just_outside_the_span():
-    log = _log(6, barriers={4})
-    assert log.since(4, 6) == [("add", 5), ("add", 6)]
+def test_span_holding_a_removal_returns_it():
+    log = _log(4)
+    log.record(5, ("remove", "fact", {"a", "b"}))
+    assert log.since(4, 5) == [("remove", "fact", {"a", "b"})]
+    log.record(6, ("add", "fact", "c"))
+    assert log.since(3, 6) == [("add", 4), ("remove", "fact", {"a", "b"}),
+                               ("add", "fact", "c")]

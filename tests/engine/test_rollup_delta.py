@@ -1,16 +1,18 @@
 """Incremental (delta) maintenance of the rollup index and the layers
 over it.
 
-A single fact insertion does not trigger a full
+A fact insertion or removal does not trigger a full
 ``_build_dimension_index`` rebuild — it applies as a patch to the
 existing closure and characterization maps, counted by
 ``rollup_index.delta_applied``.  Above the index, the id-level category
 views, the columnar layouts (``columnar.patch``) and the measure
 columns are patched from the same change logs.  The property tests are
-the safety net: across random sequences of delta-able mutations (new
-facts, fact-value relates, single-edge hierarchy additions) and
-removals, the maintained state must equal a from-scratch build, and
-non-delta-able mutations (removals) must fall back to a full rebuild.
+the safety net: across random sequences of mutations (new facts,
+fact-value relates, removals, corrections that remove a fact's pairs
+and relate it again within one replayed span, single-edge hierarchy
+additions), the maintained state must equal a from-scratch build.
+Layouts still rebuild after order changes, new or vanished layout
+codes, and on delta-off indexes; the pins below check each.
 """
 
 from __future__ import annotations
@@ -89,7 +91,9 @@ class TestSingleMutations:
         assert index.delta_count == deltas + 1
         _assert_matches_fresh(index, mo)
 
-    def test_removal_falls_back_to_full_rebuild(self, small_clinical):
+    def test_removal_applies_as_delta(self, small_clinical):
+        """A removal is a set difference on the relation: the delta
+        carries it, with zero rebuilds."""
         mo = small_clinical.mo.copy()
         index = mo.rollup_index()
         _warm(index, mo)
@@ -98,8 +102,8 @@ class TestSingleMutations:
         victim = next(iter(mo.facts))
         mo.relation("Diagnosis").remove_fact(victim)
         index.characterization_map("Diagnosis", "Diagnosis Group")
-        assert index.build_count == builds + 1, "removal must rebuild"
-        assert index.delta_count == deltas
+        assert index.build_count == builds, "removal caused a rebuild"
+        assert index.delta_count == deltas + 1
         _assert_matches_fresh(index, mo)
 
     def test_delta_disabled_always_rebuilds(self, small_clinical):
@@ -118,12 +122,15 @@ class TestSingleMutations:
 
 @st.composite
 def _mutation_scripts(draw):
-    """A script of delta-able mutations as data: each step either adds
-    a fresh fact related somewhere, relates an (existing or new) fact
-    to another value, or adds one hierarchy edge."""
+    """A script of mutations as data: each step either adds a fresh
+    fact related somewhere, relates an (existing or new) fact to another
+    value, removes a fact's pairs in one dimension, corrects a fact
+    (removes its pairs, then relates it again in that dimension, as an
+    ingest correction does), or adds one hierarchy edge."""
     return draw(st.lists(
         st.tuples(
-            st.sampled_from(["new_fact", "relate", "edge"]),
+            st.sampled_from(["new_fact", "relate", "remove", "correction",
+                             "edge"]),
             st.integers(min_value=0, max_value=10 ** 6),
             st.integers(min_value=0, max_value=10 ** 6),
         ),
@@ -156,6 +163,16 @@ def _apply_script(mo, script):
                 continue
             mo.relate(facts[b % len(facts)], name, values[a % len(values)])
             applied += 1
+        elif op in ("remove", "correction"):
+            facts = sorted(mo.facts, key=repr)
+            if not facts:
+                continue
+            fact = facts[b % len(facts)]
+            mo.relation(name).remove_fact(fact)
+            if op == "correction":
+                mo.relate(fact, name, values[a % len(values)] if values
+                          else dimension.top_value)
+            applied += 1
         else:  # one upward edge between adjacent levels
             levels = [ctype.name for ctype in dimension.dtype.category_types()
                       if not ctype.is_top]
@@ -176,8 +193,8 @@ def _apply_script(mo, script):
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 def test_delta_maintained_index_matches_fresh_build(mo, script):
-    """Property: after any sequence of delta-able mutations, the
-    incrementally maintained index ≡ a freshly built index."""
+    """Property: after any sequence of mutations, the incrementally
+    maintained index ≡ a freshly built index."""
     index = mo.rollup_index()
     _warm(index, mo)
     _apply_script(mo, script)
@@ -212,12 +229,13 @@ def _moved(before):
 
 _LAYER_COUNTERS = ("columnar.patch", "columnar.build",
                    "columnar.measure_column.build",
-                   "rollup_index.per_fact_map.miss")
+                   "rollup_index.per_fact_map.miss", "rollup_index.builds")
 
 
-def _clinical_read(mo):
+def _clinical_read(mo, grouping=None):
     """One dashboard-shaped read; returns its rows and the oracle's."""
-    grouping = {"Diagnosis": "Diagnosis Group", "Residence": "Region"}
+    grouping = grouping or {"Diagnosis": "Diagnosis Group",
+                            "Residence": "Region"}
     query = Query(mo)
     for name, category in sorted(grouping.items()):
         query = query.rollup(name, category)
@@ -257,45 +275,60 @@ class TestLayerPatches:
         assert repr(rows) == repr(oracle)
         assert _moved(before) == {"columnar.patch"}
 
+    def test_correction_patches_every_layer(self, small_clinical):
+        """An ingest correction — every Diagnosis pair of a patient
+        removed, then one value in use related again — then one read:
+        the removal replays as a delta, so the layout is patched and no
+        index, layout, measure column or id view is rebuilt."""
+        mo = small_clinical.mo.copy()
+        patients = small_clinical.patients
+        rows, oracle = _clinical_read(mo)
+        assert repr(rows) == repr(oracle)
+        diagnosis = mo.relation("Diagnosis")
+        value = sorted(diagnosis.values_of(patients[1]), key=repr)[0]
+        diagnosis.remove_fact(patients[0])
+        mo.relate(patients[0], "Diagnosis", value)
+        before = _counters(*_LAYER_COUNTERS)
+        rows, oracle = _clinical_read(mo)
+        assert repr(rows) == repr(oracle)
+        assert _moved(before) == {"columnar.patch"}
+
     @pytest.mark.parametrize("mutation", [
-        "remove_fact", "add_edge", "new_code", "delta_disabled"])
+        "lost_code", "add_edge", "new_code", "delta_disabled"])
     def test_mutations_a_patch_cannot_replay_rebuild(self, small_clinical,
                                                      mutation):
         mo = small_clinical.mo.copy()
         icd = small_clinical.icd
-        patient = small_clinical.patients[0]
+        patients = small_clinical.patients
         unused = DimensionValue(sid=("patch-probe", "low"))
-        if mutation == "new_code":
-            # in the dimension before the warm read, but no fact has it
+        grouping = {"Diagnosis": "Diagnosis Group", "Residence": "Region"}
+        if mutation in ("new_code", "lost_code"):
+            # in the dimension before the warm read, and no fact has it
+            # (lost_code: one patient has it, until a correction)
             mo.dimension("Diagnosis").add_value("Low-level Diagnosis",
                                                 unused)
             mo.dimension("Diagnosis").add_edge(unused, icd.families[0])
-        _clinical_read(mo)
-        if mutation == "remove_fact":
-            mo.relation("Diagnosis").remove_fact(patient)
+            grouping["Diagnosis"] = "Low-level Diagnosis"
+        if mutation == "lost_code":
+            mo.relate(patients[0], "Diagnosis", unused)
+        _clinical_read(mo, grouping)  # warm the layout the pin reads
+        if mutation == "lost_code":
+            diagnosis = mo.relation("Diagnosis")
+            value = sorted(diagnosis.values_of(patients[1]), key=repr)[0]
+            diagnosis.remove_fact(patients[0])
+            mo.relate(patients[0], "Diagnosis", value)
         elif mutation == "add_edge":
             low = next(v for v in icd.low_levels
                        if icd.families[-1] not in
                        mo.dimension("Diagnosis").ancestors(v))
             mo.dimension("Diagnosis").add_edge(low, icd.families[-1])
         elif mutation == "new_code":
-            mo.relate(patient, "Diagnosis", unused)
+            mo.relate(patients[0], "Diagnosis", unused)
         else:
             mo.rollup_index().delta_enabled = False
-            _ingest_batch(mo, small_clinical.patients)
-        grouping = {"Diagnosis": "Diagnosis Group", "Residence": "Region"}
-        if mutation == "new_code":
-            grouping["Diagnosis"] = "Low-level Diagnosis"
-            _clinical_read(mo)  # warm the bottom layout before the relate
+            _ingest_batch(mo, patients)
         before = _counters("columnar.build", "columnar.patch")
-        query = Query(mo)
-        for name, category in sorted(grouping.items()):
-            query = query.rollup(name, category)
-        rows = query.execute(SetCount(), cache=False)
-        oracle = _alpha_rows(aggregate(
-            mo, SetCount(), grouping,
-            make_result_spec(name="__query_result"), use_index=False),
-            sorted(grouping))
+        rows, oracle = _clinical_read(mo, grouping)
         assert repr(rows) == repr(oracle)
         assert _moved(before) == {"columnar.build"}
 
@@ -321,9 +354,10 @@ def test_version_keyed_memos_stay_bounded(small_clinical):
 
 @st.composite
 def _layer_scripts(draw, removals):
-    """Mutation steps as data; ``removals`` adds relation removals and
-    hierarchy edges to the additions."""
-    ops = ["new_fact", "relate"] + (["remove", "edge"] if removals else [])
+    """Mutation steps as data; ``removals`` adds relation removals,
+    corrections and hierarchy edges to the additions."""
+    ops = ["new_fact", "relate"] + (["remove", "correction", "edge"]
+                                    if removals else [])
     return draw(st.lists(
         st.tuples(st.sampled_from(ops),
                   st.integers(min_value=0, max_value=10 ** 6),
@@ -349,11 +383,6 @@ def _apply_layer_step(mo, step):
                       for v in cat.members() if not v.is_top]
             mo.relate(fact, name, values[(a + b + i) % len(values)]
                       if values else dimension.top_value)
-    elif op == "remove":
-        facts = sorted(mo.facts, key=repr)
-        if facts:
-            name = mo.dimension_names[a % len(mo.dimension_names)]
-            mo.relation(name).remove_fact(facts[b % len(facts)])
     else:
         _apply_script(mo, [(op, a, b)])
 
